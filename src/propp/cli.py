@@ -46,19 +46,12 @@ def _dump_json(payload: dict, stream) -> None:
     stream.write("\n")
 
 
-def _open_out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8"), True
-    return sys.stdout, False
-
-
 def _write(args, emit_fn) -> None:
-    stream, close = _open_out(args)
-    try:
-        emit_fn(stream)
-    finally:
-        if close:
-            stream.close()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as stream:
+            emit_fn(stream)
+    else:
+        emit_fn(sys.stdout)
 
 
 def _magnitude(text: str):
@@ -89,7 +82,12 @@ def _int_list(text: str) -> list[int]:
 
 def _default_plimit() -> int:
     env = os.environ.get("PROPP_PLIMIT")
-    return int(env) if env else constants.DEFAULT_CONSTANT_PLIMIT
+    if not env:
+        return constants.DEFAULT_CONSTANT_PLIMIT
+    try:
+        return int(env)
+    except ValueError:
+        raise PropPError(f"PROPP_PLIMIT must be an integer, got {env!r}") from None
 
 
 def cmd_sieve(args) -> int:
@@ -227,14 +225,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_count_s(args) -> int:
-    per_index = {}
-    total = 0
-    for i in range(1, construct.max_set_index(args.limit,
-                                              args.exclude_qi) + 1):
-        count = len(construct.enumerate_s_i(i, args.limit, args.exclude_qi))
-        per_index[i] = count
-        total += count
-    baseline = len(construct.baseline_squares(args.limit))
+    layers = range(1, construct.max_set_index(args.limit, args.exclude_qi) + 1)
+    # the baseline sieves past every layer's nu bound, so count it first
+    baseline = counting.pi_k_exact(math.isqrt(args.limit), 1)
+    per_index = {i: counting.count_s_i(i, args.limit, args.exclude_qi)
+                 for i in layers}
+    total = sum(per_index.values())
     try:
         env = constants.envelope(args.limit)
     except PropPError:
@@ -313,15 +309,10 @@ def cmd_theorem_terms(args) -> int:
     if (args.x is None) == (args.log_x is None):
         raise PropPError("exactly one of --x and --log-x is required")
     if args.x is not None:
-        terms = constants.theorem_terms(args.x, args.j)
-        shown = args.x
+        payload = asdict(constants.theorem_terms(args.x, args.j))
+        payload["x"] = args.x
     else:
-        terms = constants.theorem_terms_from_logs(args.log_x, args.j)
-        shown = None
-    payload = asdict(terms)
-    if shown is not None:
-        payload["x"] = shown
-    else:
+        payload = asdict(constants.theorem_terms_from_logs(args.log_x, args.j))
         payload["log_x"] = args.log_x
     _write(args, lambda stream: _dump_json(payload, stream))
     return 0
@@ -430,14 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except PropPError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PropPError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .construct import window_params_from_logs
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .primes import primes_upto
 
 EULER_GAMMA = 0.5772156649015329
@@ -164,15 +164,9 @@ def _prime_fields(plimit: int, threads: int = 1):
     return p, lam
 
 
-def _require_truncation(name: str, plimit, minimum: int) -> int:
-    if isinstance(plimit, bool) or not isinstance(plimit, int) or plimit < minimum:
-        raise DomainError(f"{name} needs a truncation limit >= {minimum}, got {plimit!r}")
-    return plimit
-
-
 def mertens_m34(limit: int, threads: int = 1) -> ConstantEstimate:
     """sum_{p<=limit} lambda(p)/p - (log log limit)/2, an estimate of M(3,4)."""
-    _require_truncation("M(3,4)", limit, 10 ** 3)
+    require_int("M(3,4) truncation limit", limit, 10 ** 3)
     p, lam = _prime_fields(limit, threads)
     value = float(np.sum(lam / p)) - 0.5 * math.log(math.log(limit))
     return ConstantEstimate(
@@ -188,7 +182,7 @@ def c34(limit: int, threads: int = 1) -> ConstantEstimate:
     """gamma + sum_{p<=limit} (log(1-1/p) + 2 lambda(p)/p), an estimate of
     C(3,4) = 2 M(3,4).  Conditionally convergent: per-prime terms are
     combined first and accumulated in increasing order."""
-    _require_truncation("C(3,4)", limit, 10 ** 3)
+    require_int("C(3,4) truncation limit", limit, 10 ** 3)
     cached = _c34_cache.get(limit)
     if cached is not None:
         return cached
@@ -204,7 +198,7 @@ def c34(limit: int, threads: int = 1) -> ConstantEstimate:
 
 def lambda_p2_sum(limit: int, threads: int = 1) -> ConstantEstimate:
     """sum_{p<=limit} lambda(p)/p^2 plus the rigorous integral tail 1/limit."""
-    _require_truncation("lambda/p^2", limit, 10 ** 4)
+    require_int("lambda/p^2 truncation limit", limit, 10 ** 4)
     p, lam = _prime_fields(limit, threads)
     value = float(np.sum(lam / (p * p)))
     return ConstantEstimate(
@@ -228,7 +222,7 @@ def prime_log_sum(x: float, plimit: int, threads: int = 1) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"prime log sum evaluated on [0, 1], got {x}")
-    _require_truncation("prime log sum", plimit, 10 ** 4)
+    require_int("prime log sum truncation limit", plimit, 10 ** 4)
     return _prime_log_sum_unchecked(x, plimit, threads)
 
 
@@ -260,14 +254,14 @@ def euler_product(x: float, plimit: int, threads: int = 1) -> float:
     exp(x(-gamma/2 + M(3,4))) < 0.9238 on the bound window.
     """
     _check_h_domain(x)
-    _require_truncation("euler product", plimit, 10 ** 4)
+    require_int("euler product truncation limit", plimit, 10 ** 4)
     return math.exp(_product_log(x, plimit, threads))
 
 
 def h_eval(x: float, plimit: int, threads: int = 1) -> float:
     """h(x): the Euler product divided by Gamma(x/2 + 1).  h(0) = 1 exactly."""
     _check_h_domain(x)
-    _require_truncation("h", plimit, 10 ** 4)
+    require_int("h truncation limit", plimit, 10 ** 4)
     return math.exp(_product_log(x, plimit, threads)) / math.gamma(x / 2.0 + 1.0)
 
 
@@ -280,7 +274,7 @@ def h_second_factor(x: float, plimit: int, threads: int = 1) -> float:
         f = T^2/G - G2/(4 G^2) - S2/G - G1 T/G^2 + G1^2/(2 G^3)
     """
     _check_h_domain(x)
-    _require_truncation("h''", plimit, 10 ** 4)
+    require_int("h'' truncation limit", plimit, 10 ** 4)
     t = _prime_log_sum_unchecked(x, plimit, threads)
     s2 = _lambda_shifted_sq_sum(x, plimit, threads)
     g = gamma_triple(x)
@@ -299,7 +293,7 @@ def h_second(x: float, plimit: int, method: str = "analytic",
     """h''(x), either term-by-term (analytic) or by central differences of
     h with step 1e-4 and one Richardson refinement (numeric)."""
     _check_h_domain(x)
-    _require_truncation("h''", plimit, 10 ** 4)
+    require_int("h'' truncation limit", plimit, 10 ** 4)
     if method == "analytic":
         return h_second_factor(x, plimit, threads) * euler_product(x, plimit, threads)
     if method == "numeric":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .primes import class3_upto, nth_q
 
 
@@ -28,58 +28,51 @@ class SetElement:
     nu_factors: tuple[int, ...]
 
 
-def _require_positive_int(name: str, v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise DomainError(f"{name} must be a positive integer, got {v!r}")
-    return v
-
-
-def _admissible_primes(i: int, cap: int, exclude_qi: bool) -> list[int]:
-    primes = [int(p) for p in class3_upto(cap)]
+def _smallest_nu_primes(i: int, exclude_qi: bool) -> list[int]:
+    """The i smallest primes admissible in a nu of layer i, ascending."""
+    # they sit among the first i+1 class-3 primes
+    pool = [nth_q(j) for j in range(1, i + 2)]
     if exclude_qi:
-        q = nth_q(i)
-        primes = [p for p in primes if p != q]
-    return primes
+        del pool[i - 1]  # q_i itself
+    return pool[:i]
 
 
 def min_element(i: int, exclude_qi: bool = False) -> int:
     """Smallest member of S_i: q_i^4 times the square of the i smallest
     admissible primes."""
-    _require_positive_int("set index", i)
-    q = nth_q(i)
-    # the first i admissible nu primes sit among the first i+1 class-3 primes
-    pool = [nth_q(j) for j in range(1, i + 2)]
-    if exclude_qi:
-        pool = [p for p in pool if p != q]
-    nu = math.prod(pool[:i])
-    return q ** 4 * nu * nu
+    require_int("set index", i)
+    nu = math.prod(_smallest_nu_primes(i, exclude_qi))
+    return nth_q(i) ** 4 * nu * nu
 
 
 def max_set_index(limit: int, exclude_qi: bool = False) -> int:
     """Largest i whose layer reaches below `limit`; 0 when none does."""
-    _require_positive_int("limit", limit)
+    require_int("limit", limit)
     i = 0
     while min_element(i + 1, exclude_qi) <= limit:
         i += 1
     return i
 
 
+def nu_bound(i: int, limit: int) -> int:
+    """Largest nu with q_i^4 * nu^2 <= limit; 0 when q_i^4 > limit."""
+    return math.isqrt(limit // nth_q(i) ** 4)
+
+
 def enumerate_s_i(i: int, limit: int, exclude_qi: bool = False) -> list[SetElement]:
     """All elements of S_i up to `limit`, ascending by value."""
-    _require_positive_int("set index", i)
-    _require_positive_int("limit", limit)
+    require_int("set index", i)
+    require_int("limit", limit)
     q = nth_q(i)
     q4 = q ** 4
-    if q4 > limit:
+    nu_max = nu_bound(i, limit)
+    if nu_max == 0:
         return []
-    nu_max = math.isqrt(limit // q4)
     # the largest factor of any admissible nu divides out the i-1 smallest
     # admissible primes, so the sieve never needs to reach nu_max itself
-    pool = [nth_q(j) for j in range(1, i + 2)]
-    if exclude_qi:
-        pool = [p for p in pool if p != q]
-    prime_cap = nu_max // math.prod(pool[: i - 1])
-    primes = _admissible_primes(i, min(nu_max, prime_cap), exclude_qi)
+    prime_cap = nu_max // math.prod(_smallest_nu_primes(i, exclude_qi)[:-1])
+    primes = [p for p in map(int, class3_upto(prime_cap))
+              if not exclude_qi or p != q]
     out: list[SetElement] = []
     chosen: list[int] = []
 
@@ -104,7 +97,7 @@ def enumerate_s_i(i: int, limit: int, exclude_qi: bool = False) -> list[SetEleme
 
 def enumerate_s(limit: int, exclude_qi: bool = False) -> list[SetElement]:
     """The union of all layers up to `limit`, ascending, duplicate-free."""
-    _require_positive_int("limit", limit)
+    require_int("limit", limit)
     merged: list[SetElement] = []
     for i in range(1, max_set_index(limit, exclude_qi) + 1):
         merged.extend(enumerate_s_i(i, limit, exclude_qi))
@@ -119,13 +112,13 @@ def enumerate_s(limit: int, exclude_qi: bool = False) -> list[SetElement]:
 
 def baseline_squares(limit: int) -> list[int]:
     """The classical baseline {q_i^2 <= limit}."""
-    _require_positive_int("limit", limit)
+    require_int("limit", limit)
     return [int(q) ** 2 for q in class3_upto(math.isqrt(limit))]
 
 
 def finite_block(x: int) -> list[int]:
     """The floor(x/3)+1 consecutive integers x - floor(x/3) .. x."""
-    _require_positive_int("x", x)
+    require_int("x", x)
     return list(range(x - x // 3, x + 1))
 
 

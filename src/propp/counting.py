@@ -3,7 +3,8 @@ prime factors all lie in the class 3 mod 4.
 
 pi_k(x;4,3) counts n <= x with omega(n) = Omega(n) = k and every p | n
 congruent 3 mod 4.  The exact count enumerates ascending prime tuples
-with product pruning, batch-counting the last factor by binary search.
+with product pruning, batch-counting the last factor by binary search;
+the layers of the set S are counted through it as well (`count_s_i`).
 The asymptotic side evaluates Landau's classical term
 
     x (log log x)^(k-1) / ((k-1)! log x)
@@ -22,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import constants
-from .errors import DomainError, ResourceError
+from .construct import nu_bound
+from .errors import DomainError, ResourceError, require_int
 from .primes import class3_upto, nth_q
 
 PI_K_FEASIBILITY_LIMIT = 10 ** 10
@@ -49,16 +51,10 @@ class CountReport:
     ratio_exact_to_main: Optional[float]
 
 
-def _require_positive_int(name: str, v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise DomainError(f"{name} must be a positive integer, got {v!r}")
-    return v
-
-
 def pi_k_exact(x: int, k: int, threads: int = 1) -> int:
     """Exact pi_k(x;4,3) by pruned enumeration over ascending class-3 primes."""
-    _require_positive_int("x", x)
-    _require_positive_int("k", k)
+    require_int("x", x)
+    require_int("k", k)
     if x > PI_K_FEASIBILITY_LIMIT:
         raise ResourceError(
             f"x = {x} exceeds the enumeration feasibility guard {PI_K_FEASIBILITY_LIMIT}")
@@ -84,13 +80,36 @@ def pi_k_exact(x: int, k: int, threads: int = 1) -> int:
     return count_from(0, k, x)
 
 
+def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
+    """|S_i ∩ [1, limit]|, counted without enumerating the layer.
+
+    q_i^4 nu^2 <= limit exactly when nu <= N = nu_bound(i, limit), so the
+    literal layer holds pi_i(N;4,3) elements.  With `exclude_qi` the nu
+    divisible by q_i come off by inclusion-exclusion on q_i:
+    sum_t (-1)^t pi_{i-t}(N / q_i^t;4,3), with pi_0 = 1.
+    """
+    require_int("set index", i)
+    require_int("limit", limit)
+    n = nu_bound(i, limit)
+    if not exclude_qi:
+        return pi_k_exact(n, i) if n else 0
+    q = nth_q(i)
+    total, sign = 0, 1
+    for k in range(i, -1, -1):
+        if n < 1:
+            break
+        total += sign * (pi_k_exact(n, k) if k else 1)
+        sign, n = -sign, n // q
+    return total
+
+
 def landau_term(x, k: int) -> float:
     """Landau's asymptotic term for integers with k distinct prime factors.
 
     Needs log log x > 1 (x > e^e) for k >= 2 so the powers are positive
     and meaningful; the k = 1 specialisation x / log x only needs x > e.
     """
-    _require_positive_int("k", k)
+    require_int("k", k)
     if k == 1:
         if not x > _E:
             raise DomainError(f"landau term at k=1 needs x > e, got {x}")
@@ -119,7 +138,7 @@ def meng_estimate(x, k: int, mode: str = "main", *,
     """
     if mode not in ("main", "full"):
         raise DomainError(f"mode must be 'main' or 'full', got {mode!r}")
-    _require_positive_int("k", k)
+    require_int("k", k)
     if k < 2:
         raise DomainError(f"expansion holds for k >= 2, got k = {k}")
     if not x > _E_TO_E:

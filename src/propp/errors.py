@@ -15,3 +15,10 @@ class ResourceError(PropPError, RuntimeError):
 
 class SequenceFormatError(PropPError, ValueError):
     """A sequence file or in-memory sequence violates the input contract."""
+
+
+def require_int(name: str, v, minimum: int = 1) -> int:
+    """Return `v` if it is an int (not a bool) >= `minimum`, else raise."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {v!r}")
+    return v

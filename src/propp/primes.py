@@ -121,25 +121,23 @@ class PrimeTable:
             raise DomainError(f"index {i} outside table range 1..{len(self.class3)}")
         return int(self.class3[i - 1])
 
-    def is_prime(self, n: int) -> bool:
+    def _require_in_table(self, n: int) -> int:
         if n > self.limit:
             raise DomainError(f"{n} exceeds table limit {self.limit}")
-        pos = int(np.searchsorted(self.primes, n))
-        return pos < len(self.primes) and int(self.primes[pos]) == n
+        return n
+
+    def is_prime(self, n: int) -> bool:
+        return is_prime(self._require_in_table(n))
 
     def lambda_indicator(self, p: int) -> int:
-        if not self.is_prime(p):
-            raise DomainError(f"lambda is only defined on primes, got {p}")
-        return int(p % 4 == 3)
+        return lambda_indicator(self._require_in_table(p))
 
 
 def sieve(limit: int, threads: int = 1) -> PrimeTable:
     """Sieve [2, limit] and return the indexed table."""
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
-    primes = primes_upto(limit, threads=threads)
-    class3 = class3_upto(limit)
-    return PrimeTable(limit=limit, primes=primes, class3=class3)
+    return PrimeTable(limit, primes_upto(limit, threads=threads), class3_upto(limit))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -33,24 +33,20 @@ def parse_sequence(text: str, source: str = "<input>") -> list[int]:
     if not text.endswith("\n"):
         raise SequenceFormatError(f"{source}: file must be newline-terminated")
     values = []
-    prev = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line == "" or not line.isascii() or not line.isdigit():
             raise SequenceFormatError(
                 f"{source}:{lineno}: expected a bare decimal integer, got {line!r}")
-        v = int(line)
-        if v < 1:
-            raise SequenceFormatError(f"{source}:{lineno}: entries must be >= 1")
-        if v <= prev:
-            raise SequenceFormatError(
-                f"{source}:{lineno}: entries must be strictly ascending")
-        values.append(v)
-        prev = v
-    return values
+        values.append(int(line))
+    try:
+        return validate_sequence(values)
+    except SequenceFormatError as exc:
+        raise SequenceFormatError(f"{source}: {exc}") from None
 
 
 def read_sequence(path: str) -> list[int]:
-    with open(path, "r", encoding="ascii") as fh:
+    # non-ASCII bytes decode to U+FFFD, which parse_sequence rejects by line
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         return parse_sequence(fh.read(), source=path)
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .construct import enumerate_s
-from .errors import DomainError, ResourceError
+from .errors import ResourceError, require_int
 from .seqfile import validate_sequence
 
 # Largest n with C(n,3) <= 5e9 logical triples; beyond it require force=True.
@@ -167,8 +167,7 @@ def check_lemma1(n1: int, n2: int, n3: int) -> Lemma1Result:
     and is never reached.
     """
     for name, v in (("n1", n1), ("n2", n2), ("n3", n3)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise DomainError(f"{name} must be a positive integer, got {v!r}")
+        require_int(name, v)
     g = math.gcd(n2, n3)
     for p in _class3_prime_divisors(n1):
         if g % p != 0:

@@ -82,6 +82,15 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert code == 2 and "ascending" in err
 
 
+def test_verify_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "--input", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    path = tmp_path / "s.txt"
+    path.write_bytes("729\n3969\n9801\u00e9\n".encode("utf-8"))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_lemma1(capsys):
     code, out, _ = run(capsys, "lemma1", "21", "7", "14")
     assert code == 0 and out == "applicable+verified p=3\n"
@@ -152,6 +161,16 @@ def test_count_s_total_matches_union(capsys):
     body = json.loads(out)
     assert code == 0
     assert body["total"] == len(enumerate_s(10 ** 8))
+    code, out, _ = run(capsys, "count-s", "--limit", "100000000", "--exclude-qi")
+    body = json.loads(out)
+    assert code == 0
+    assert body["total"] == len(enumerate_s(10 ** 8, exclude_qi=True))
+
+
+def test_count_s_beyond_the_sieve_cap_is_a_resource_error(capsys):
+    # layer 1 needs the class-3 primes up to sqrt(2e21 / 81) > 2^32
+    code, out, err = run(capsys, "count-s", "--limit", "2e21")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_bounds_small_truncations(capsys):
@@ -201,6 +220,13 @@ def test_plimit_env_var_default(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "constants", "--h-plimit", "100000")
     body = json.loads(out)
     assert code == 0 and body["plimit"] == 100000
+
+
+def test_bad_plimit_env_var_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PROPP_PLIMIT", "abc")
+    code, out, err = run(capsys, "envelope", "--x", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "PROPP_PLIMIT" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

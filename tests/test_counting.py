@@ -8,11 +8,14 @@ from propp.counting import (
     compare,
     corollary_lower_bound,
     corollary_window,
+    count_s_i,
     landau_term,
     meng_estimate,
     meng_neglected_scale,
     pi_k_exact,
 )
+
+from propp.construct import enumerate_s_i, max_set_index, min_element
 
 from _naive import classify_counts
 
@@ -75,6 +78,25 @@ def test_pi_k_guards():
         pi_k_exact(0, 1)
     with pytest.raises(DomainError):
         pi_k_exact(100, 0)
+
+
+@pytest.mark.parametrize("exclude_qi", [False, True])
+def test_count_s_i_matches_enumeration(exclude_qi):
+    spread = [1, 10, 728, 729, 10 ** 4, 10 ** 6, 3 * 10 ** 7 + 1, 10 ** 8,
+              10 ** 10, 123456789012, 10 ** 12]
+    for i in range(1, max_set_index(10 ** 12, exclude_qi) + 2):
+        lowest = min_element(i, exclude_qi)
+        for limit in spread + [lowest - 1, lowest]:
+            expected = len(enumerate_s_i(i, limit, exclude_qi))
+            assert count_s_i(i, limit, exclude_qi) == expected, (i, limit)
+        assert count_s_i(i, lowest - 1, exclude_qi) == 0
+        assert count_s_i(i, lowest, exclude_qi) == 1
+
+
+def test_count_s_i_guards():
+    for i, limit in ((0, 100), (1, 0), (True, 100), (1, 10.0 ** 4)):
+        with pytest.raises(DomainError):
+            count_s_i(i, limit)
 
 
 def test_landau_frozen_values():
