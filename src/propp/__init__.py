@@ -42,13 +42,11 @@ from .counting import (
 )
 from .errors import DomainError, PropPError, ResourceError, SequenceFormatError
 from .primes import (
-    PrimeTable,
     class3_upto,
     lambda_indicator,
     nth_q,
     primes_upto,
     q_growth_ratio,
-    sieve,
 )
 from .verify import (
     Lemma1Result,

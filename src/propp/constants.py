@@ -157,17 +157,18 @@ def gamma_triple(x: float) -> GammaTriple:
 # ---------------------------------------------------------------------------
 # truncated prime sums
 
-def _prime_fields(plimit: int, threads: int = 1):
-    pr = primes_upto(plimit, threads=threads)
-    p = pr.astype(np.float64)
-    lam = ((pr & 3) == 3).astype(np.float64)
-    return p, lam
+def _prime_fields(plimit: int):
+    """The cached primes <= plimit, read in place (int64), and the bool mask
+    lambda(p).  Elementwise formulas promote both to float64 exactly (p is
+    far below 2^53), so the sums match a float copy bit for bit."""
+    p = primes_upto(plimit)
+    return p, (p & 3) == 3
 
 
-def mertens_m34(limit: int, threads: int = 1) -> ConstantEstimate:
+def mertens_m34(limit: int) -> ConstantEstimate:
     """sum_{p<=limit} lambda(p)/p - (log log limit)/2, an estimate of M(3,4)."""
     require_int("M(3,4) truncation limit", limit, 10 ** 3)
-    p, lam = _prime_fields(limit, threads)
+    p, lam = _prime_fields(limit)
     value = float(np.sum(lam / p)) - 0.5 * math.log(math.log(limit))
     return ConstantEstimate(
         name="M(3,4)", value=value, truncation=limit,
@@ -178,7 +179,7 @@ def mertens_m34(limit: int, threads: int = 1) -> ConstantEstimate:
 _c34_cache: dict[int, ConstantEstimate] = {}
 
 
-def c34(limit: int, threads: int = 1) -> ConstantEstimate:
+def c34(limit: int) -> ConstantEstimate:
     """gamma + sum_{p<=limit} (log(1-1/p) + 2 lambda(p)/p), an estimate of
     C(3,4) = 2 M(3,4).  Conditionally convergent: per-prime terms are
     combined first and accumulated in increasing order."""
@@ -186,7 +187,7 @@ def c34(limit: int, threads: int = 1) -> ConstantEstimate:
     cached = _c34_cache.get(limit)
     if cached is not None:
         return cached
-    p, lam = _prime_fields(limit, threads)
+    p, lam = _prime_fields(limit)
     value = EULER_GAMMA + float(np.sum(np.log1p(-1.0 / p) + 2.0 * lam / p))
     est = ConstantEstimate(
         name="C(3,4)", value=value, truncation=limit,
@@ -196,11 +197,11 @@ def c34(limit: int, threads: int = 1) -> ConstantEstimate:
     return est
 
 
-def lambda_p2_sum(limit: int, threads: int = 1) -> ConstantEstimate:
+def lambda_p2_sum(limit: int) -> ConstantEstimate:
     """sum_{p<=limit} lambda(p)/p^2 plus the rigorous integral tail 1/limit."""
     require_int("lambda/p^2 truncation limit", limit, 10 ** 4)
-    p, lam = _prime_fields(limit, threads)
-    value = float(np.sum(lam / (p * p)))
+    p, lam = _prime_fields(limit)
+    value = float(np.sum(lam / np.square(p, dtype=np.float64)))
     return ConstantEstimate(
         name="sum lambda(p)/p^2", value=value, truncation=limit,
         error_note="positive terms, increasing in the truncation; upper_bound "
@@ -208,12 +209,12 @@ def lambda_p2_sum(limit: int, threads: int = 1) -> ConstantEstimate:
         upper_bound=value + 1.0 / limit)
 
 
-def _prime_log_sum_unchecked(x: float, plimit: int, threads: int = 1) -> float:
-    p, lam = _prime_fields(plimit, threads)
+def _prime_log_sum_unchecked(x: float, plimit: int) -> float:
+    p, lam = _prime_fields(plimit)
     return float(np.sum(0.5 * np.log1p(-1.0 / p) + lam / (p + x)))
 
 
-def prime_log_sum(x: float, plimit: int, threads: int = 1) -> float:
+def prime_log_sum(x: float, plimit: int) -> float:
     """sum_p ((1/2) log(1-1/p) + lambda(p)/(p+x)), truncated.
 
     This is the logarithmic derivative of the Euler product in h; at
@@ -223,13 +224,13 @@ def prime_log_sum(x: float, plimit: int, threads: int = 1) -> float:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"prime log sum evaluated on [0, 1], got {x}")
     require_int("prime log sum truncation limit", plimit, 10 ** 4)
-    return _prime_log_sum_unchecked(x, plimit, threads)
+    return _prime_log_sum_unchecked(x, plimit)
 
 
-def _lambda_shifted_sq_sum(x: float, plimit: int, threads: int = 1) -> float:
+def _lambda_shifted_sq_sum(x: float, plimit: int) -> float:
     """sum_p lambda(p)/(p+x)^2, the derivative of the shifted reciprocal sum."""
-    p, lam = _prime_fields(plimit, threads)
-    return float(np.sum(lam / (p + x) ** 2))
+    p, lam = _prime_fields(plimit)
+    return float(np.sum(lam / np.square(p + x, dtype=np.float64)))
 
 
 # h and its derivatives; the expansion feeds arguments up to 2A/3, so the
@@ -242,12 +243,12 @@ def _check_h_domain(x: float) -> None:
         raise DomainError(f"h family evaluated on {_H_DOMAIN}, got {x}")
 
 
-def _product_log(x: float, plimit: int, threads: int = 1) -> float:
-    p, lam = _prime_fields(plimit, threads)
+def _product_log(x: float, plimit: int) -> float:
+    p, lam = _prime_fields(plimit)
     return float(np.sum((x / 2.0) * np.log1p(-1.0 / p) + np.log1p(x * lam / p)))
 
 
-def euler_product(x: float, plimit: int, threads: int = 1) -> float:
+def euler_product(x: float, plimit: int) -> float:
     """prod_{p<=plimit} (1-1/p)^(x/2) (1 + x lambda(p)/p), log-accumulated.
 
     Conditionally convergent in increasing-prime order; bounded above by
@@ -255,17 +256,17 @@ def euler_product(x: float, plimit: int, threads: int = 1) -> float:
     """
     _check_h_domain(x)
     require_int("euler product truncation limit", plimit, 10 ** 4)
-    return math.exp(_product_log(x, plimit, threads))
+    return math.exp(_product_log(x, plimit))
 
 
-def h_eval(x: float, plimit: int, threads: int = 1) -> float:
+def h_eval(x: float, plimit: int) -> float:
     """h(x): the Euler product divided by Gamma(x/2 + 1).  h(0) = 1 exactly."""
     _check_h_domain(x)
     require_int("h truncation limit", plimit, 10 ** 4)
-    return math.exp(_product_log(x, plimit, threads)) / math.gamma(x / 2.0 + 1.0)
+    return math.exp(_product_log(x, plimit)) / math.gamma(x / 2.0 + 1.0)
 
 
-def h_second_factor(x: float, plimit: int, threads: int = 1) -> float:
+def h_second_factor(x: float, plimit: int) -> float:
     """f(x), the factor with h''(x) = f(x) * euler_product(x).
 
     Writing T for the prime log sum, S2 for sum lambda(p)/(p+x)^2 and
@@ -275,8 +276,8 @@ def h_second_factor(x: float, plimit: int, threads: int = 1) -> float:
     """
     _check_h_domain(x)
     require_int("h'' truncation limit", plimit, 10 ** 4)
-    t = _prime_log_sum_unchecked(x, plimit, threads)
-    s2 = _lambda_shifted_sq_sum(x, plimit, threads)
+    t = _prime_log_sum_unchecked(x, plimit)
+    s2 = _lambda_shifted_sq_sum(x, plimit)
     g = gamma_triple(x)
     return (t * t / g.gamma
             - g.gamma2 / (4.0 * g.gamma ** 2)
@@ -288,22 +289,21 @@ def h_second_factor(x: float, plimit: int, threads: int = 1) -> float:
 _FD_STEP = 1e-4
 
 
-def h_second(x: float, plimit: int, method: str = "analytic",
-             threads: int = 1) -> float:
+def h_second(x: float, plimit: int, method: str = "analytic") -> float:
     """h''(x), either term-by-term (analytic) or by central differences of
     h with step 1e-4 and one Richardson refinement (numeric)."""
     _check_h_domain(x)
     require_int("h'' truncation limit", plimit, 10 ** 4)
     if method == "analytic":
-        return h_second_factor(x, plimit, threads) * euler_product(x, plimit, threads)
+        return h_second_factor(x, plimit) * euler_product(x, plimit)
     if method == "numeric":
         if not _H_DOMAIN[0] + _FD_STEP <= x <= _H_DOMAIN[1] - _FD_STEP:
             raise DomainError(f"numeric h'' needs an interior point, got {x}")
-        center = h_eval(x, plimit, threads)
+        center = h_eval(x, plimit)
 
         def second_diff(step: float) -> float:
-            hi = h_eval(x + step, plimit, threads)
-            lo = h_eval(x - step, plimit, threads)
+            hi = h_eval(x + step, plimit)
+            lo = h_eval(x - step, plimit)
             return (hi - 2.0 * center + lo) / (step * step)
 
         coarse = second_diff(_FD_STEP)
@@ -314,14 +314,13 @@ def h_second(x: float, plimit: int, method: str = "analytic",
 
 def corollary_constant(arg: float, *,
                        c34_limit: int = DEFAULT_CONSTANT_PLIMIT,
-                       h_plimit: int = DEFAULT_H_PLIMIT,
-                       threads: int = 1) -> float:
+                       h_plimit: int = DEFAULT_H_PLIMIT) -> float:
     """1 + C(3,4)/2 + h''(arg)/2, the main-term coefficient that must stay
     at or above 0.802 on the bound window."""
     if not BOUND_WINDOW[0] <= arg <= BOUND_WINDOW[1]:
         raise DomainError(f"corollary constant evaluated on {BOUND_WINDOW}, got {arg}")
-    return (1.0 + c34(c34_limit, threads).value / 2.0
-            + h_second(arg, h_plimit, "analytic", threads) / 2.0)
+    return (1.0 + c34(c34_limit).value / 2.0
+            + h_second(arg, h_plimit, "analytic") / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +360,8 @@ def theorem_terms_from_logs(log_x: float, j: int) -> TheoremTerms:
     with L = log_2 sqrt(x).  Both are returned as natural logs.
     """
     k, l = window_params_from_logs(log_x)
-    if isinstance(j, bool) or not isinstance(j, int) or not 2 <= j <= l:
-        raise DomainError(f"j must be an integer in [2, l] = [2, {l}], got {j!r}")
+    if require_int("j", j, 2) > l:
+        raise DomainError(f"j must be at most l = {l}, got {j}")
     big_l = math.log(log_x / 2.0)
     m = k + j
     log_y = log_x - math.log(16.0) - 4.0 * math.log(m) - 4.0 * math.log(math.log(m))
@@ -401,7 +400,14 @@ def _window_grid() -> list[float]:
 def bounds_report(constant_plimit: int = DEFAULT_CONSTANT_PLIMIT,
                   h_plimit: int = DEFAULT_H_PLIMIT,
                   threads: int = 1) -> list[BoundCheck]:
-    """Re-check every published inequality as an executable assertion."""
+    """Re-check every published inequality as an executable assertion.
+
+    `threads` only speeds up the one sieve that fills the prime store; every
+    sum below then reads the cached primes.
+    """
+    require_int("constant truncation limit", constant_plimit, 10 ** 4)
+    require_int("h truncation limit", h_plimit, 10 ** 4)
+    primes_upto(max(constant_plimit, h_plimit), threads=threads)
     checks: list[BoundCheck] = []
     grid = _window_grid()
 
@@ -410,22 +416,22 @@ def bounds_report(constant_plimit: int = DEFAULT_CONSTANT_PLIMIT,
 
     m_lo = M34_INTERVAL[0] - M34_TRUNCATION_ALLOWANCE
     m_hi = M34_INTERVAL[1] + M34_TRUNCATION_ALLOWANCE
-    m_est = mertens_m34(constant_plimit, threads)
+    m_est = mertens_m34(constant_plimit)
     add("m34_band", m_est.value,
         f"within ({m_lo:.4f}, {m_hi:.4f})", m_lo < m_est.value < m_hi)
 
-    m_prev = mertens_m34(constant_plimit // 10, threads)
+    m_prev = mertens_m34(constant_plimit // 10)
     drift = abs(m_prev.value - m_est.value)
     add("m34_decade_drift", drift, "< 0.005", drift < M34_TRUNCATION_ALLOWANCE)
 
-    c_est = c34(constant_plimit, threads)
+    c_est = c34(constant_plimit)
     identity_gap = abs(c_est.value - 2.0 * m_est.value)
     add("c34_equals_2m34", identity_gap, "< 0.01",
         identity_gap < C34_IDENTITY_TOLERANCE)
     add("c34_lower", c_est.value, f"> {C34_LOWER_BOUND}",
         c_est.value > C34_LOWER_BOUND)
 
-    lp2 = lambda_p2_sum(10 ** 4, threads)
+    lp2 = lambda_p2_sum(10 ** 4)
     add("lambda_p2_partial", lp2.value, f"< {LAMBDA_P2_PARTIAL_BOUND}",
         lp2.value < LAMBDA_P2_PARTIAL_BOUND)
     add("lambda_p2_rigorous", lp2.upper_bound, f"< {LAMBDA_P2_RIGOROUS_BOUND}",
@@ -440,24 +446,24 @@ def bounds_report(constant_plimit: int = DEFAULT_CONSTANT_PLIMIT,
         add(label, lo, f"[{lo:.6f}, {hi:.6f}] within [{bracket[0]}, {bracket[1]}]",
             bracket[0] <= lo and hi <= bracket[1])
 
-    sums = [prime_log_sum(x, constant_plimit, threads) for x in grid]
+    sums = [prime_log_sum(x, constant_plimit) for x in grid]
     add("prime_log_sum_band", min(sums),
         f"grid within ({PRIME_LOG_SUM_BRACKET[0]}, {PRIME_LOG_SUM_BRACKET[1]})",
         all(PRIME_LOG_SUM_BRACKET[0] < s < PRIME_LOG_SUM_BRACKET[1] for s in sums))
 
-    products = [euler_product(x, h_plimit, threads) for x in grid]
+    products = [euler_product(x, h_plimit) for x in grid]
     add("product_upper", max(products), f"< {PRODUCT_UPPER_BOUND}",
         max(products) < PRODUCT_UPPER_BOUND)
 
-    fs = [h_second_factor(x, h_plimit, threads) for x in grid]
+    fs = [h_second_factor(x, h_plimit) for x in grid]
     add("f_lower", min(fs), f">= {F_LOWER_BOUND}", min(fs) >= F_LOWER_BOUND)
 
-    h2 = h_second(1.0 / 3.0, h_plimit, "analytic", threads)
+    h2 = h_second(1.0 / 3.0, h_plimit, "analytic")
     add("h_second_lower", h2, f"> {H_SECOND_LOWER_BOUND}",
         h2 > H_SECOND_LOWER_BOUND)
 
     cc = corollary_constant(1.0 / 3.0, c34_limit=constant_plimit,
-                            h_plimit=h_plimit, threads=threads)
+                            h_plimit=h_plimit)
     add("corollary_constant", cc, f">= {COROLLARY_CONSTANT_BOUND}",
         cc >= COROLLARY_CONSTANT_BOUND)
 

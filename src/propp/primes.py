@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,43 +100,6 @@ def class3_upto(limit: int, threads: int = 1) -> np.ndarray:
     with _cache_lock:
         cut = int(np.searchsorted(_cached_class3, limit, side="right"))
         return _cached_class3[:cut]
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """Immutable table of all primes up to `limit`, split by class mod 4.
-
-    `class3` is the order-preserving filter of `primes` to the residue
-    class 3 mod 4, so the i-th entry (1-based) is q_i.
-    """
-
-    limit: int
-    primes: np.ndarray
-    class3: np.ndarray
-
-    def qindex(self, i: int) -> int:
-        """q_i, the i-th prime in the class (1-based)."""
-        if i < 1 or i > len(self.class3):
-            raise DomainError(f"index {i} outside table range 1..{len(self.class3)}")
-        return int(self.class3[i - 1])
-
-    def _require_in_table(self, n: int) -> int:
-        if n > self.limit:
-            raise DomainError(f"{n} exceeds table limit {self.limit}")
-        return n
-
-    def is_prime(self, n: int) -> bool:
-        return is_prime(self._require_in_table(n))
-
-    def lambda_indicator(self, p: int) -> int:
-        return lambda_indicator(self._require_in_table(p))
-
-
-def sieve(limit: int, threads: int = 1) -> PrimeTable:
-    """Sieve [2, limit] and return the indexed table."""
-    if limit < 2:
-        raise DomainError(f"sieve limit must be at least 2, got {limit}")
-    return PrimeTable(limit, primes_upto(limit, threads=threads), class3_upto(limit))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -1,8 +1,10 @@
 import json
+import os
+import time
 
 import pytest
 
-from propp.cli import main
+from propp.cli import build_parser, main
 from propp.construct import enumerate_s
 
 
@@ -235,6 +237,31 @@ def test_out_flag_writes_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text() == "3\n7\n11\n19\n23\n"
+
+
+def test_sieve_limit_below_two_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "sieve", "--limit", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "sieve limit" in err
+
+
+def test_threads_clamped_to_cpu_count():
+    cpus = os.cpu_count() or 1
+    for given, want in (("100000", cpus), ("0", 1), ("-5", 1), ("1", 1)):
+        args = build_parser().parse_args(
+            ["verify", "--input", "seq.txt", "--threads", given])
+        assert args.threads == want, given
+
+
+@pytest.mark.parametrize("x", ["1e100000000", "-1e100000000", "1e5000",
+                               "inf", "nan"])
+def test_huge_or_nonfinite_magnitude_is_a_usage_error(capsys, x):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["envelope", "--x", x])
+    assert exc.value.code == 2 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -232,6 +232,9 @@ def test_theorem_terms_bigint_x():
     terms = theorem_terms(10 ** 2590, 2)
     assert terms.k == 4 and terms.l == 2
     assert math.isfinite(terms.f1_log) and math.isfinite(terms.f2_lower_log)
+    for bad_j in (1, 3, True, 2.0):  # l == 2 here
+        with pytest.raises(DomainError):
+            theorem_terms(10 ** 2590, bad_j)
 
 
 def test_f1_dominates_envelope_shape():

@@ -11,21 +11,20 @@ from propp.primes import (
     prime_segments,
     primes_upto,
     q_growth_ratio,
-    sieve,
 )
 
 from _naive import trial_division_class3, trial_division_primes
 
 
 def test_sieve_small_values():
-    assert sieve(20).class3.tolist() == [3, 7, 11, 19]
-    table = sieve(2)
-    assert table.primes.tolist() == [2]
-    assert table.class3.tolist() == []
+    assert class3_upto(20).tolist() == [3, 7, 11, 19]
+    assert primes_upto(2).tolist() == [2]
+    assert class3_upto(2).tolist() == []
+    assert primes_upto(1).tolist() == [] and class3_upto(1).tolist() == []
 
 
 def test_sieve_100_matches_trial_division():
-    got = sieve(100).class3.tolist()
+    got = class3_upto(100).tolist()
     assert got == trial_division_class3(100)
     assert len(got) == 13
     assert got[-1] == 83
@@ -37,15 +36,15 @@ def test_sieve_matches_trial_division_to_1e4():
 
 
 def test_class3_is_order_preserving_filter():
-    table = sieve(5000)
-    expected = [int(p) for p in table.primes if p % 4 == 3]
-    assert table.class3.tolist() == expected
+    expected = [p for p in primes_upto(5000).tolist() if p % 4 == 3]
+    assert class3_upto(5000).tolist() == expected
 
 
 def test_sieve_prefix_property():
-    small = sieve(1000).class3.tolist()
-    big = sieve(10 ** 5).class3.tolist()
-    assert big[: len(small)] == small
+    for upto in (primes_upto, class3_upto):
+        small = upto(1000).tolist()
+        big = upto(10 ** 5).tolist()
+        assert big[: len(small)] == small
 
 
 def test_segment_size_does_not_change_output():
@@ -62,22 +61,21 @@ def test_threaded_sieve_identical():
 
 def test_sieve_guards():
     with pytest.raises(DomainError):
-        sieve(1)
+        next(prime_segments(1))
     with pytest.raises(ResourceError):
         primes_upto(primes.MAX_SIEVE_LIMIT * 2)
+    with pytest.raises(ResourceError):
+        class3_upto(primes.MAX_SIEVE_LIMIT + 1)
 
 
 def test_qindex_and_table_lambda():
-    table = sieve(100)
-    assert [table.qindex(i) for i in range(1, 5)] == [3, 7, 11, 19]
+    assert [nth_q(i) for i in range(1, 5)] == [3, 7, 11, 19]
     with pytest.raises(DomainError):
-        table.qindex(0)
+        nth_q(0)
+    assert lambda_indicator(7) == 1
+    assert lambda_indicator(5) == 0
     with pytest.raises(DomainError):
-        table.qindex(100)
-    assert table.lambda_indicator(7) == 1
-    assert table.lambda_indicator(5) == 0
-    with pytest.raises(DomainError):
-        table.lambda_indicator(9)
+        lambda_indicator(9)
 
 
 def test_lambda_indicator():
