@@ -59,9 +59,11 @@ def pi_k_exact(x: int, k: int, threads: int = 1) -> int:
         raise ResourceError(
             f"x = {x} exceeds the enumeration feasibility guard {PI_K_FEASIBILITY_LIMIT}")
 
-    smallest = [nth_q(j) for j in range(1, k + 1)]
-    if math.prod(smallest) > x:
-        return 0
+    smallest: list[int] = []
+    for j in range(1, k + 1):
+        smallest.append(nth_q(j))
+        if math.prod(smallest) > x:  # stops a huge k long before nth_q(k)
+            return 0
     # every leaf budget divides out at least the k-1 smallest primes
     arr = class3_upto(x // math.prod(smallest[: k - 1]), threads=threads)
     n = len(arr)

@@ -253,15 +253,53 @@ def test_threads_clamped_to_cpu_count():
         assert args.threads == want, given
 
 
+def _timed_exit(capsys, argv):
+    """Exit code and output of one in-process run, which must end within
+    2 s and never print a traceback; argparse errors count by their code."""
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert time.perf_counter() - start < 2.0, argv
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err, argv
+    return code, out.out, out.err
+
+
+# argv, exit code, a line stdout must hold (None: only stderr is written)
+EXIT_CONTRACT = [
+    # a 61-bit prime: Miller-Rabin ends the trial division at once
+    (["lemma1", "2305843009213693951", "1", "2"], 0,
+     "applicable+verified p=2305843009213693951"),
+    # two primes above the 10^7 trial-division cap: a resource error
+    (["lemma1", str(10_000_019 * 10_000_079), "1", "2"], 2, None),
+    (["lemma1", str(7 * 10_000_019 * 10_000_079), "1", "2"], 0,
+     "applicable+verified p=7"),
+    (["lemma1", "0", "1", "1"], 2, None),
+    # q_1 q_2 > 100 settles k = 3,000,000 after two primes
+    (["pik", "--x", "100", "--k", "3000000"], 0, '  "exact": 0'),
+    (["pik", "--x", "100", "--k", "0"], 2, None),
+    (["envelope", "--x", "10"], 2, None),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", EXIT_CONTRACT,
+                         ids=[" ".join(row[0]) for row in EXIT_CONTRACT])
+def test_exit_contract(capsys, argv, code, line):
+    got, out, err = _timed_exit(capsys, argv)
+    assert got == code
+    if line is None:
+        assert out == "" and err
+    else:
+        assert line in out.splitlines()
+
+
 @pytest.mark.parametrize("x", ["1e100000000", "-1e100000000", "1e5000",
                                "inf", "nan"])
 def test_huge_or_nonfinite_magnitude_is_a_usage_error(capsys, x):
-    start = time.perf_counter()
-    with pytest.raises(SystemExit) as exc:
-        main(["envelope", "--x", x])
-    assert exc.value.code == 2 and time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert "usage:" in err and "Traceback" not in err
+    code, out, err = _timed_exit(capsys, ["envelope", "--x", x])
+    assert code == 2 and out == "" and "usage:" in err
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from propp import DomainError
+from _naive import trial_division_primes
+from propp import DomainError, constants, primes
 from propp.constants import (
     BOUND_WINDOW,
     EULER_GAMMA,
@@ -130,6 +131,62 @@ def test_prime_log_sum_properties():
         prime_log_sum(1.5, plimit)
     with pytest.raises(DomainError):
         prime_log_sum(0.5, 10 ** 3)
+
+
+@pytest.fixture(scope="module")
+def naive_primes():
+    return trial_division_primes(10 ** 5)
+
+
+def _reference_sums(ps, x):
+    """Per-prime reference: each prime's terms combined first, then fsum."""
+    def lam(p):
+        return 1.0 if p % 4 == 3 else 0.0
+    return {
+        "m34": math.fsum(lam(p) / p for p in ps),
+        "c34": EULER_GAMMA + math.fsum(math.log1p(-1.0 / p) + 2.0 * lam(p) / p
+                                       for p in ps),
+        "lp2": math.fsum(lam(p) / (p * p) for p in ps),
+        "t": math.fsum(0.5 * math.log1p(-1.0 / p) + lam(p) / (p + x) for p in ps),
+        "s2": math.fsum(lam(p) / (p + x) ** 2 for p in ps),
+        "log_product": math.fsum((x / 2.0) * math.log1p(-1.0 / p)
+                                 + math.log1p(x * lam(p) / p) for p in ps),
+    }
+
+
+@pytest.mark.parametrize("limit", [10 ** 4, 10 ** 5])
+def test_prime_sums_match_a_per_prime_reference(naive_primes, limit):
+    ps = [p for p in naive_primes if p <= limit]
+    ref = _reference_sums(ps, 0.0)
+    close = dict(rel=1e-12, abs=0.0)
+    assert mertens_m34(limit).value == pytest.approx(
+        ref["m34"] - 0.5 * math.log(math.log(limit)), **close)
+    assert c34(limit).value == pytest.approx(ref["c34"], **close)
+    assert lambda_p2_sum(limit).value == pytest.approx(ref["lp2"], **close)
+    for x in (0.0, 1.0 / 3.0, 1.0, 2.0):
+        ref = _reference_sums(ps, x)
+        if x <= 1.0:
+            assert prime_log_sum(x, limit) == pytest.approx(ref["t"], **close)
+        assert euler_product(x, limit) == pytest.approx(
+            math.exp(ref["log_product"]), **close)
+        g = gamma_triple(x)
+        f = (ref["t"] ** 2 / g.gamma - g.gamma2 / (4.0 * g.gamma ** 2)
+             - ref["s2"] / g.gamma - g.gamma1 * ref["t"] / g.gamma ** 2
+             + g.gamma1 ** 2 / (2.0 * g.gamma ** 3))
+        assert h_second_factor(x, limit) == pytest.approx(f, **close)
+
+
+def test_truncated_sums_do_not_move_when_the_store_grows(monkeypatch):
+    # start from an empty store and memo, so the first sum sieves only to 1e5
+    for name in ("_cached_primes", "_cached_class3"):
+        monkeypatch.setattr(primes, name, getattr(primes, name)[:0])
+    monkeypatch.setattr(primes, "_cached_limit", 1)
+    constants._truncation_sums.cache_clear()
+    before = mertens_m34(10 ** 5).value
+    primes.primes_upto(10 ** 7)
+    assert primes._cached_limit >= 10 ** 7
+    constants._truncation_sums.cache_clear()
+    assert mertens_m34(10 ** 5).value == before
 
 
 # -------------------------------------------------------------- h family
