@@ -244,7 +244,7 @@ def cmd_compare(args) -> int:
 
 def cmd_count_s(args) -> int:
     layers = range(1, construct.max_set_index(args.limit, args.exclude_qi) + 1)
-    # the baseline sieves past every layer's nu bound, so count it first
+    # the baseline: squares of class-3 primes, pi_1(sqrt(limit);4,3)
     baseline = counting.pi_k_exact(math.isqrt(args.limit), 1)
     per_index = {i: counting.count_s_i(i, args.limit, args.exclude_qi)
                  for i in layers}

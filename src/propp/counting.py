@@ -2,9 +2,14 @@
 prime factors all lie in the class 3 mod 4.
 
 pi_k(x;4,3) counts n <= x with omega(n) = Omega(n) = k and every p | n
-congruent 3 mod 4.  The exact count enumerates ascending prime tuples
-with product pruning, batch-counting the last factor by binary search;
-the layers of the set S are counted through it as well (`count_s_i`).
+congruent 3 mod 4.  The exact count walks ascending tuples of k - 1
+class-3 primes with product pruning and counts the last factor in one
+lookup of pi(v;4,3) per tuple, where every v is some floor(x/m).  Those
+lookups read the prime store when it already covers them; otherwise a
+Lucy_Hedgehog table of pi(v;4,3) over all v = floor(x/m) answers them
+after sieving only to sqrt(x) (Lagarias-Miller-Odlyzko, Math. Comp. 44,
+1985).  The layers of the set S are counted through it as well
+(`count_s_i`).
 The asymptotic side evaluates Landau's classical term
 
     x (log log x)^(k-1) / ((k-1)! log x)
@@ -25,7 +30,7 @@ import numpy as np
 from . import constants
 from .construct import nu_bound
 from .errors import DomainError, ResourceError, require_int
-from .primes import class3_upto, nth_q
+from .primes import class3_upto, nth_q, primes_upto, sieved_limit
 
 PI_K_FEASIBILITY_LIMIT = 10 ** 10
 
@@ -51,8 +56,61 @@ class CountReport:
     ratio_exact_to_main: Optional[float]
 
 
+def _class3_counts(x: int, primes: np.ndarray):
+    """pi(v;4,3) for every v = floor(x/m) and every v <= sqrt(x), as a
+    vectorised counter; `primes` must hold every prime <= sqrt(x).
+
+    Lucy_Hedgehog's recurrence sums a completely multiplicative weight f
+    over 2..v and sifts out the composites prime by prime:
+    S(v) -= f(p) (S(v // p) - S(p - 1)) for every v >= p^2.  Run on the
+    weights 1 and chi_4 it leaves pi(v) and sum_{p<=v} chi_4(p), and
+    pi(v;4,3) = (pi(v) - 1 - sum_{p<=v} chi_4(p)) / 2 for v >= 2.
+    """
+    r = math.isqrt(x)
+    small_v = np.arange(r + 1, dtype=np.int64)
+    big_v = x // np.maximum(small_v, 1)  # entry i >= 1 holds v = x // i
+    # S at the start: v - 1 for the weight 1; chi_4 sums to 1 over 1..v
+    # when v % 4 is 1 or 2 and to 0 otherwise
+    chi_sums = [np.isin(v & 3, (1, 2)).astype(np.int64) - 1 for v in (small_v, big_v)]
+    sums = [(small_v - 1, big_v - 1), tuple(chi_sums)]
+    for p in primes[: int(np.searchsorted(primes, r, side="right"))].tolist():
+        top = min(r, x // (p * p))   # entries v = x // i >= p^2
+        inner = min(top, r // p)     # i p <= r: x // (i p) is big entry i p
+        outer = x // np.arange((inner + 1) * p, top * p + 1, p, dtype=np.int64)
+        sift = small_v[p * p:] // p if p * p <= r else None
+        chi = 0 if p == 2 else (1 if p & 3 == 1 else -1)
+        for (small, big), f in zip(sums, (1, chi)):
+            if not f:
+                continue
+            update = np.subtract if f > 0 else np.add
+            before = small[p - 1]
+            # every read sees S before this prime: big first, then small
+            update(big[1: inner + 1], big[p: inner * p + 1: p] - before,
+                   out=big[1: inner + 1])
+            update(big[inner + 1: top + 1], small[outer] - before,
+                   out=big[inner + 1: top + 1])
+            if sift is not None:
+                update(small[p * p:], small[sift] - before, out=small[p * p:])
+    (small, big), (small_chi, big_chi) = sums
+    small_c3 = np.maximum((small - 1 - small_chi) // 2, 0)
+    big_c3 = np.maximum((big - 1 - big_chi) // 2, 0)
+
+    def count(v):
+        v = np.asarray(v, dtype=np.int64)
+        return np.where(v <= r, small_c3[np.minimum(v, r)],
+                        big_c3[x // np.maximum(v, r + 1)])
+    return count
+
+
 def pi_k_exact(x: int, k: int, threads: int = 1) -> int:
-    """Exact pi_k(x;4,3) by pruned enumeration over ascending class-3 primes."""
+    """Exact pi_k(x;4,3): pruned enumeration over ascending class-3 primes.
+
+    The last factor is counted, never enumerated: a tuple with product P
+    adds pi(x // P;4,3) minus the primes up to its largest factor.  When
+    the prime store covers the largest such budget, x // (q_1...q_{k-1}),
+    pi(v;4,3) is a binary search in it; otherwise a Lucy_Hedgehog table
+    for x gives it, and nothing is sieved beyond sqrt(x).
+    """
     require_int("x", x)
     require_int("k", k)
     if x > PI_K_FEASIBILITY_LIMIT:
@@ -65,12 +123,27 @@ def pi_k_exact(x: int, k: int, threads: int = 1) -> int:
         if math.prod(smallest) > x:  # stops a huge k long before nth_q(k)
             return 0
     # every leaf budget divides out at least the k-1 smallest primes
-    arr = class3_upto(x // math.prod(smallest[: k - 1]), threads=threads)
+    leaves = x // math.prod(smallest[: k - 1])
+    if leaves <= sieved_limit():
+        arr = class3_upto(leaves)
+        count = lambda v: np.searchsorted(arr, v, side="right")
+    else:
+        root = math.isqrt(x)
+        count = _class3_counts(x, primes_upto(root, threads=threads))
+        arr = class3_upto(root)
+    if k == 1:
+        return int(count(x))
     n = len(arr)
 
     def count_from(start: int, remaining: int, budget: int) -> int:
-        if remaining == 1:
-            return max(0, int(np.searchsorted(arr, budget, side="right")) - start)
+        if remaining == 2:
+            # every p <= sqrt(budget) at once: pi(budget // p) minus the
+            # class-3 primes up to p, which number idx + 1
+            stop = int(np.searchsorted(arr, math.isqrt(budget), side="right"))
+            if stop <= start:
+                return 0
+            below = (start + 1 + stop) * (stop - start) // 2
+            return int(count(budget // arr[start:stop]).sum()) - below
         total = 0
         for idx in range(start, n):
             p = int(arr[idx])

@@ -94,6 +94,11 @@ def primes_upto(limit: int, threads: int = 1) -> np.ndarray:
         return _cached_primes[:cut]
 
 
+def sieved_limit() -> int:
+    """The limit the prime store covers: reads up to it sieve nothing."""
+    return _cached_limit
+
+
 def class3_upto(limit: int, threads: int = 1) -> np.ndarray:
     """All primes p <= limit with p % 4 == 3, ascending, read-only."""
     primes_upto(limit, threads=threads)

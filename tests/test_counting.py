@@ -1,9 +1,17 @@
+import bisect
+import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import propp
 from propp import DomainError, ResourceError
 from propp.counting import (
+    _class3_counts,
     CountReport,
     compare,
     corollary_lower_bound,
@@ -16,6 +24,7 @@ from propp.counting import (
 )
 
 from propp.construct import enumerate_s_i, max_set_index, min_element
+from propp.primes import class3_upto, primes_upto, sieved_limit
 
 from _naive import classify_counts
 
@@ -78,6 +87,78 @@ def test_pi_k_guards():
         pi_k_exact(0, 1)
     with pytest.raises(DomainError):
         pi_k_exact(100, 0)
+
+
+# ru_maxrss survives fork and exec: a child started straight from the test
+# process reports that process's peak, so a small launcher starts it instead
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+def _cold(code: str):
+    """Run `code` in a fresh interpreter (empty prime store) and return the
+    JSON value it prints last."""
+    src = os.path.dirname(os.path.dirname(propp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LAUNCHER, sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_class3_table_matches_the_store():
+    for x in list(range(1, 21)) + [24, 25, 26, 10 ** 4, 999_983, 10 ** 6, 10 ** 7]:
+        r = math.isqrt(x)
+        # x // m for m <= r, then every v <= r: all x // m and all v <= sqrt(x)
+        vs = np.array(sorted({x // m for m in range(1, r + 1)} | set(range(1, r + 1))),
+                      dtype=np.int64)
+        count = _class3_counts(x, primes_upto(r))
+        want = np.searchsorted(class3_upto(x), vs, side="right")
+        assert count(vs).tolist() == want.tolist(), x
+        assert int(count(x)) == want[-1], x
+    # pi_1 through pi_k_exact on a cold store, against sympy's primes
+    sympy = pytest.importorskip("sympy")
+    xs = [65_537, 10 ** 5, 123_457, 999_983, 10 ** 6, 1_999_999, 2 * 10 ** 6]
+    counts, limit = _cold(
+        "import json\n"
+        "from propp.counting import pi_k_exact\n"
+        "from propp.primes import sieved_limit\n"
+        f"print(json.dumps([[pi_k_exact(x, 1) for x in {xs}], sieved_limit()]))")
+    assert limit < min(xs)  # the store never covered x: every count came from a table
+    sympy.sieve.extend(max(xs))  # primerange then reads sympy's sieve
+    class3 = [p for p in sympy.primerange(2, max(xs) + 1) if p % 4 == 3]
+    assert counts == [bisect.bisect_right(class3, x) for x in xs]
+
+
+def test_pi_k_both_paths_agree():
+    xs = [10 ** 3, 10 ** 5, 999_983, 10 ** 6, 3 * 10 ** 6 + 7, 10 ** 7,
+          54_321_987, 10 ** 8]
+    ks = range(1, 6)
+    cold, limit = _cold(
+        "import json\n"
+        "from propp.counting import pi_k_exact\n"
+        "from propp.primes import sieved_limit\n"
+        f"print(json.dumps([[pi_k_exact(x, k) for x in {xs} for k in {list(ks)}],"
+        " sieved_limit()]))")
+    # the store stayed small: pi_1 from x = 10^5 and pi_2 from x = 999,983 on
+    # (among others) counted from tables
+    assert limit < 999_983 // 3
+    primes_upto(10 ** 8)
+    assert sieved_limit() >= 10 ** 8
+    warm = [pi_k_exact(x, k) for x in xs for k in ks]
+    assert cold == warm
+    for x in xs:
+        if x <= 10 ** 6:
+            expected = classify_counts(x)
+            assert [pi_k_exact(x, k) for k in ks] == [expected.get(k, 0) for k in ks], x
+
+
+def test_pi_k_memory_stays_small():
+    value, peak_kb = _cold(
+        "import json, resource\n"
+        "from propp.counting import pi_k_exact\n"
+        "v = pi_k_exact(10 ** 10, 3)\n"
+        "print(json.dumps([v, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+    assert value == 215_734_418
+    assert peak_kb < 150 * 1024  # ru_maxrss is in KiB on Linux
 
 
 @pytest.mark.parametrize("exclude_qi", [False, True])
