@@ -47,11 +47,26 @@ def _dump_json(payload: dict, stream) -> None:
 
 
 def _write(args, emit_fn) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            emit_fn(stream)
-    else:
+    """Emit to stdout or to `--out`.  A regular or new file is written
+    through a temp file beside it, which replaces it only once the report
+    is complete; a device or pipe (such as /dev/null) is written in place."""
+    if not args.out:
         emit_fn(sys.stdout)
+        return
+    target = os.path.realpath(args.out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as stream:
+            emit_fn(stream)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    stream = open(tmp, "x", encoding="utf-8")
+    try:
+        with stream:
+            emit_fn(stream)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 # int(Decimal) took 0.47 s at 10^5 digits and 42 s at 10^6 on a 2-vCPU VM;
@@ -129,6 +144,7 @@ def cmd_construct(args) -> int:
     if args.all == (args.set_index is not None):
         raise PropPError("exactly one of --set-index and --all is required")
     if args.all:
+        counting.require_s_fits(args.limit, args.exclude_qi)
         elements = construct.enumerate_s(args.limit, exclude_qi=args.exclude_qi)
     else:
         elements = construct.enumerate_s_i(args.set_index, args.limit,
@@ -168,7 +184,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_verify(args) -> int:
     values = seqfile.read_sequence(args.input)
-    kwargs = {"force": args.force, "threads": args.threads}
+    kwargs = {"force": args.force}
     if args.cap is not None:
         kwargs["cap"] = args.cap
     verdict = verify.check_property_p(values, **kwargs)

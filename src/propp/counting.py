@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import constants
-from .construct import nu_bound
+from .construct import max_set_index, nu_bound
 from .errors import DomainError, ResourceError, require_int
 from .primes import class3_upto, nth_q, primes_upto, sieved_limit
 
@@ -175,6 +175,30 @@ def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
             break
         total += sign * (pi_k_exact(n, k) if k else 1)
         sign, n = -sign, n // q
+    return total
+
+
+# Materialised, an element of S costs ~800 bytes at most: the JSON report
+# of `construct --all` peaked at 403 MB for the 483,065 elements below
+# 10^16 (~770 bytes each over the 30 MB interpreter; the plain walk alone
+# took ~270).  The budget is half of the 8 GB desk machine the project
+# targets.
+_S_ELEMENT_BYTES = 800
+_S_MEMORY_BUDGET = 4 << 30
+
+
+def require_s_fits(limit: int, exclude_qi: bool = False) -> int:
+    """|S ∩ [1, limit]|, counted layer by layer without enumerating.
+
+    Raises ResourceError when materialising that many elements would pass
+    the memory budget, so callers refuse before walking the layers.
+    """
+    layers = range(1, max_set_index(limit, exclude_qi) + 1)
+    total = sum(count_s_i(i, limit, exclude_qi) for i in layers)
+    if total * _S_ELEMENT_BYTES > _S_MEMORY_BUDGET:
+        raise ResourceError(
+            f"S up to {limit} has {total} elements, past the memory budget of "
+            f"{_S_MEMORY_BUDGET // _S_ELEMENT_BYTES} at ~{_S_ELEMENT_BYTES} bytes each")
     return total
 
 

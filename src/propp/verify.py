@@ -1,23 +1,45 @@
 """Exhaustive Property-P decision and the square-sum divisibility test.
 
 Property P: a strictly increasing sequence a_1 < a_2 < ... where no
-a_i divides a_j + a_k for any i < j < k.  The check scans index triples
-in lexicographic order, so a failing sequence always reports the same
-witness.  Internally each outer index i reduces the tail mod a_i and
-looks for a residue pair summing to 0 or a_i, which keeps the scan at
-O(n^2 log n) while deciding exactly the cubic family of triples.
+a_i divides a_j + a_k for any i < j < k.  The check scans outer indices i
+in order and reports the lexicographically first witness (i, j, k), so a
+failing sequence always reports the same one.
+
+The divisor lattice decides most outer indices of square sequences such as
+S without residues.  Let a_i = r^2 where r has no prime factor = 1 mod 4.
+Then r^2 divides x^2 + y^2 exactly when r divides both x and y:
+
+* for p = 3 mod 4, -1 is not a square mod p, so p | x^2 + y^2 forces p | x
+  and p | y, and by induction v_p(x^2 + y^2) = 2 min(v_p x, v_p y);
+* for p = 2, x^2 + y^2 = 2 mod 4 when x, y are odd, so
+  2^{2f} | x^2 + y^2 exactly when 2^f divides x and y.
+
+So a square pair (a_j, a_k) is a witness for i exactly when r divides
+both roots: the scan asks whether two later square roots are multiples
+of r, walking r's multiples through a set of the roots or testing the
+tail roots, whichever is shorter.  A pair touching a non-square a_t
+needs residues: a_k = -a_t (mod a_i) with k != t, one lookup per
+non-square over the tail residues.  An outer i falls back to the generic
+scan for that i alone, reducing the tail mod a_i and looking for a
+residue pair summing to 0 or a_i, when a_i is not a square, when r has a
+prime factor = 1 mod 4, or when r does not factor within the lattice's
+trial-division budget.  On the big-integer path (values past 2^62) a
+tail with non-squares takes the generic scan too: its residues are
+computed in Python either way.  Whichever path decides that i has a
+witness, the same generic routine picks the lexicographically first pair.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .construct import enumerate_s
+from .counting import require_s_fits
 from .errors import ResourceError, require_int
 from .primes import is_prime
 from .seqfile import validate_sequence
@@ -61,6 +83,58 @@ def _lex_rank(n: int, i: int, j: int, k: int) -> int:
     return rank + (k - j)
 
 
+# Below 2^15, trial division to sqrt(m) (at most 90 odd divisors, ~5 us)
+# costs about one Miller-Rabin test (~5 us at 1e6), so smaller cofactors
+# are proven prime by trial alone.
+_MR_FLOOR = 1 << 15
+
+
+def _prime_factors(n: int, bound: int):
+    """Distinct prime factors of n >= 1, ascending, by trial division.
+
+    Trial divisors run up to `bound` and stop once the cofactor m is 1 or
+    prime: no divisor up to sqrt(m), or Miller-Rabin (exact below 3.3e24)
+    once m >= 2^15.  A composite cofactor with no divisor up to `bound`
+    raises ResourceError.
+    """
+    m = n
+    if m % 2 == 0:
+        yield 2
+        m >>= (m & -m).bit_length() - 1
+    d = 3
+    while m > 1 and not (m >= _MR_FLOOR and is_prime(m)):
+        root = math.isqrt(m)
+        top = min(bound, root)
+        d = next((t for t in range(d, top + 1, 2) if m % t == 0), 0)
+        if not d:
+            # m >= 2^15 already failed Miller-Rabin above
+            if top < root and not (m < _MR_FLOOR and is_prime(m)):
+                raise ResourceError(
+                    f"{m} has no prime factor up to {bound}; "
+                    "factoring it is beyond the trial-division budget")
+            break
+        yield d
+        while m % d == 0:
+            m //= d
+    if m > 1:
+        yield m
+
+
+# Roots of squares up to 2^62 (the int64 path) are <= 2^31, so trial
+# division to isqrt(2^31) decides every one of them.
+_LATTICE_TRIAL_BOUND = math.isqrt(math.isqrt(_NUMPY_VALUE_CEILING))
+
+
+def _lattice_root(r: int, bound: int) -> bool:
+    """Does r provably have no prime factor = 1 mod 4, by trial division
+    up to min(bound, isqrt(2^31))?"""
+    try:
+        factors = _prime_factors(r, min(bound, _LATTICE_TRIAL_BOUND))
+        return all(p % 4 != 1 for p in factors)
+    except ResourceError:
+        return False
+
+
 def _first_pair(res, ai: int) -> Optional[tuple[int, int]]:
     """Smallest (j, k), j < k, with res[j] + res[k] == 0 mod ai."""
     positions: dict[int, list[int]] = {}
@@ -86,19 +160,81 @@ def _pair_exists(res: np.ndarray, ai: int) -> bool:
     return bool(np.any(match & ((w != u) | (c > 1))))
 
 
-def _scan_range(a, a_np, lo: int, hi: int) -> Optional[tuple[int, int, int]]:
-    """Lexicographically first witness with outer index in [lo, hi)."""
+def _non_square_pair_exists(res: np.ndarray, ns: np.ndarray, ai: int) -> bool:
+    """Is res[t] + res[k] = 0 mod ai for a non-square tail position t in
+    `ns` and some k != t?  One pass over the tail per t."""
+    for t in ns.tolist():
+        rt = int(res[t])
+        want = (ai - rt) % ai
+        if np.count_nonzero(res == want) > (rt == want):
+            return True
+    return False
+
+
+def _two_multiples(r: int, roots: list[int], after: int, root_set: set,
+                   roots_np: Optional[np.ndarray]) -> bool:
+    """Are at least two of the square roots roots[after:] multiples of r?"""
+    top = roots[-1]
+    if top // r <= len(roots) - after:
+        # c*r with c >= 2 exceeds r, so its square lies past a_i = r^2
+        hits = (c for c in range(2 * r, top + 1, r) if c in root_set)
+    elif roots_np is not None:
+        return int(np.count_nonzero(roots_np[after:] % r == 0)) >= 2
+    else:
+        hits = (x for x in islice(roots, after, None) if x % r == 0)
+    return next(islice(hits, 1, None), None) is not None
+
+
+def _scan(a: list[int]) -> Optional[tuple[int, int, int]]:
+    """Lexicographically first witness (i, j, k), or None."""
     n = len(a)
-    for i in range(lo, min(hi, n - 2)):
+    a_np = np.asarray(a, dtype=np.int64) if a[-1] <= _NUMPY_VALUE_CEILING else None
+    roots = [math.isqrt(v) for v in a]
+    square = [r * r == v for r, v in zip(roots, a)]
+    sq_roots = [r for r, sq in zip(roots, square) if sq]
+    sq_set = set(sq_roots)
+    non_squares = [i for i, sq in enumerate(square) if not sq]
+    if sq_roots and a_np is not None:
+        sq_np = np.asarray(sq_roots, dtype=np.int64)
+        ns_np = np.asarray(non_squares, dtype=np.int64)
+    else:  # the lattice takes no int64 path
+        sq_np = ns_np = None
+    # Trial division to b costs ~25 ns * b (b/2 odd divisors).  The generic
+    # step it may spare costs ~15 us plus ~30-60 ns per tail element on the
+    # int64 path, or ~300 ns per element in Python, so a root gets a trial
+    # bound that costs at most about half that step before its outer index
+    # falls back to it.
+    squares_seen = 0
+    for i in range(n - 2):
         ai = a[i]
-        if a_np is not None:
+        tail = n - 1 - i
+        squares_seen += square[i]
+        ns_at = i + 1 - squares_seen  # non-squares up to i
+        tail_ns = len(non_squares) - ns_at
+        budget = 256 + (tail // 4 if a_np is not None else 2 * tail)
+        res = None  # int64 tail residues mod a_i, once a path needs them
+        if square[i] and _lattice_root(roots[i], budget):
+            hit = _two_multiples(roots[i], sq_roots, squares_seen, sq_set, sq_np)
+            if not hit and tail_ns:
+                if a_np is None:
+                    hit = True  # _first_pair below is the residue lookup
+                else:
+                    res = a_np[i + 1:] % ai
+                    # a pass per non-square beats sorting the tail while few
+                    hit = (_non_square_pair_exists(res, ns_np[ns_at:] - (i + 1), ai)
+                           if tail_ns < tail.bit_length() else _pair_exists(res, ai))
+        elif a_np is not None:
             res = a_np[i + 1:] % ai
-            if not _pair_exists(res, ai):
-                continue
-            found = _first_pair(res.tolist(), ai)
+            hit = _pair_exists(res, ai)
         else:
+            hit = True
+        if not hit:
+            continue
+        if a_np is None:
             res = [v % ai for v in a[i + 1:]]
-            found = _first_pair(res, ai)
+        else:
+            res = (a_np[i + 1:] % ai if res is None else res).tolist()
+        found = _first_pair(res, ai)
         if found is not None:
             j, k = found
             return i, i + 1 + j, i + 1 + k
@@ -106,7 +242,7 @@ def _scan_range(a, a_np, lo: int, hi: int) -> Optional[tuple[int, int, int]]:
 
 
 def check_property_p(seq: Sequence[int], *, cap: int = DEFAULT_ELEMENT_CAP,
-                     force: bool = False, threads: int = 1) -> Verdict:
+                     force: bool = False) -> Verdict:
     """Decide Property P for a strictly ascending sequence.
 
     Raises SequenceFormatError on malformed input and ResourceError when
@@ -120,22 +256,7 @@ def check_property_p(seq: Sequence[int], *, cap: int = DEFAULT_ELEMENT_CAP,
             "(CLI: --force) to scan anyway")
     if n < 3:
         return Verdict(True, None, None, 0)
-
-    a_np = np.asarray(a, dtype=np.int64) if a[-1] <= _NUMPY_VALUE_CEILING else None
-
-    witness_at: Optional[tuple[int, int, int]] = None
-    if threads <= 1:
-        witness_at = _scan_range(a, a_np, 0, n - 2)
-    else:
-        step = math.ceil((n - 2) / threads)
-        blocks = [(lo, lo + step) for lo in range(0, n - 2, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = list(pool.map(lambda b: _scan_range(a, a_np, b[0], b[1]), blocks))
-        for hit in hits:  # blocks are ordered by outer index
-            if hit is not None:
-                witness_at = hit
-                break
-
+    witness_at = _scan(a)
     if witness_at is None:
         return Verdict(True, None, None, math.comb(n, 3))
     i, j, k = witness_at
@@ -145,31 +266,6 @@ def check_property_p(seq: Sequence[int], *, cap: int = DEFAULT_ELEMENT_CAP,
 # A composite cofactor of n < 10^14 has a divisor <= 10^7, so the cap
 # changes no answer there; dividing up to it took 0.5 s on a 2-vCPU VM.
 _TRIAL_DIVISION_CAP = 10 ** 7
-
-
-def _class3_prime_divisors(n: int):
-    """Prime divisors of n in the class 3 mod 4, ascending.
-
-    Trial division stops once the cofactor is 1 or prime (Miller-Rabin,
-    exact below 3.3e24); a composite cofactor with no divisor up to the cap
-    raises ResourceError.
-    """
-    m = n
-    while m % 2 == 0:
-        m //= 2
-    d = 3
-    while m > 1 and not is_prime(m):
-        d = next((t for t in range(d, _TRIAL_DIVISION_CAP + 1, 2) if m % t == 0), 0)
-        if not d:
-            raise ResourceError(
-                f"{m} has no prime factor up to {_TRIAL_DIVISION_CAP}; "
-                "factoring it is beyond the trial-division budget")
-        while m % d == 0:
-            m //= d
-        if d % 4 == 3:
-            yield d
-    if m > 1 and m % 4 == 3:
-        yield m
 
 
 def check_lemma1(n1: int, n2: int, n3: int) -> Lemma1Result:
@@ -183,16 +279,22 @@ def check_lemma1(n1: int, n2: int, n3: int) -> Lemma1Result:
     for name, v in (("n1", n1), ("n2", n2), ("n3", n3)):
         require_int(name, v)
     g = math.gcd(n2, n3)
-    for p in _class3_prime_divisors(n1):
-        if g % p != 0:
+    for p in _prime_factors(n1, _TRIAL_DIVISION_CAP):
+        if p % 4 == 3 and g % p != 0:
             if (n2 * n2 + n3 * n3) % (n1 * n1) == 0:
                 return Lemma1Result(APPLICABLE_VIOLATED, p)
             return Lemma1Result(APPLICABLE_VERIFIED, p)
     return Lemma1Result(NOT_APPLICABLE, None)
 
 
-def check_union_property_p(limit: int, *, exclude_qi: bool = False,
-                           threads: int = 1) -> Verdict:
-    """Property P on the constructed union up to `limit`."""
+def check_union_property_p(limit: int, *, exclude_qi: bool = False) -> Verdict:
+    """Property P on the constructed union up to `limit`.
+
+    Every root of S has only prime factors = 3 mod 4, so each outer index
+    takes the divisor lattice and the scan runs in near-linear time: the
+    cubic-cost element cap does not apply.  The memory of materialising S
+    does, and past its budget this raises ResourceError before walking.
+    """
+    require_s_fits(limit, exclude_qi)
     values = [e.value for e in enumerate_s(limit, exclude_qi)]
-    return check_property_p(values, threads=threads)
+    return check_property_p(values, force=True)

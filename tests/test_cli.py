@@ -1,9 +1,12 @@
 import json
 import os
+import stat
+import threading
 import time
 
 import pytest
 
+from propp import seqfile
 from propp.cli import build_parser, main
 from propp.construct import enumerate_s
 
@@ -82,6 +85,60 @@ def test_verify_roundtrip(tmp_path, capsys):
     path.write_text("3\n2\n")
     code, _, err = run(capsys, "verify", "--input", str(path))
     assert code == 2 and "ascending" in err
+
+
+def test_failed_command_leaves_out_untouched(tmp_path, capsys, monkeypatch):
+    existing = tmp_path / "report.txt"
+    existing.write_text("previous report\n")
+    fresh = tmp_path / "fresh.txt"
+
+    def write_then_fail(values, stream):
+        stream.write("729\n")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(seqfile, "write_sequence", write_then_fail)
+    for out in (existing, fresh):
+        code, _, err = run(capsys, "construct", "--all", "--limit", "10000",
+                           "--out", str(out))
+        assert code == 2 and "No space left" in err
+    monkeypatch.undo()
+    # a refusal before any output is written
+    code, _, _ = run(capsys, "construct", "--all", "--limit", "1e20",
+                     "--out", str(existing))
+    assert code == 2
+    assert existing.read_text() == "previous report\n"
+    assert sorted(os.listdir(tmp_path)) == ["report.txt"]
+    # and a run that succeeds replaces the file whole
+    code, _, _ = run(capsys, "construct", "--all", "--limit", "10000",
+                     "--out", str(existing))
+    assert code == 0 and existing.read_text() == "729\n3969\n9801\n"
+    assert sorted(os.listdir(tmp_path)) == ["report.txt"]
+
+
+def test_out_through_a_link_or_into_a_pipe(tmp_path, capsys):
+    # a link is followed, not replaced
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "construct", "--all", "--limit", "10000",
+                     "--out", str(link))
+    assert code == 0 and link.is_symlink()
+    assert target.read_text() == "729\n3969\n9801\n"
+    # a pipe (like /dev/null) is written in place, never swapped for a file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "construct", "--all", "--limit", "10000",
+                     "--out", str(fifo))
+    reader.join(timeout=10)
+    assert code == 0 and not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [b"729\n3969\n9801\n"]
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "pipe", "target.txt"]
 
 
 def test_verify_unreadable_input_is_a_usage_error(tmp_path, capsys):
@@ -281,6 +338,8 @@ EXIT_CONTRACT = [
     (["pik", "--x", "100", "--k", "3000000"], 0, '  "exact": 0'),
     (["pik", "--x", "100", "--k", "0"], 2, None),
     (["envelope", "--x", "10"], 2, None),
+    # 38,285,539 elements, counted before any is built: past the budget
+    (["construct", "--all", "--limit", "1e20"], 2, None),
 ]
 
 

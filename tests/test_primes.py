@@ -78,6 +78,23 @@ def test_qindex_and_table_lambda():
         lambda_indicator(9)
 
 
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(10 ** 4) if primes.is_prime(n)] == \
+        trial_division_primes(10 ** 4)
+    rng = np.random.default_rng(8)
+    cases = [int(rng.integers(1, 2 ** 62)) >> int(rng.integers(0, 60))
+             for _ in range(3000)]
+    cases += [int(rng.integers(1, 2 ** 62)) << 20 | 1 for _ in range(300)]
+    # each bound of the base schedule and its neighbours; a strong
+    # pseudoprime to the 12 bases 2..37 sits at 3.2e23
+    for bound in primes._MR_EXACT_BELOW[:-1]:
+        cases += range(bound - 2, bound + 3)
+    assert not primes.is_prime(318_665_857_834_031_151_167_461)
+    for n in cases:
+        assert primes.is_prime(n) == sympy.isprime(n), n
+
+
 def test_lambda_indicator():
     assert lambda_indicator(7) == 1
     assert lambda_indicator(5) == 0

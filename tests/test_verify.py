@@ -1,12 +1,18 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 
 from propp import DomainError, ResourceError, SequenceFormatError
+from propp.cli import main as cli_main
+from propp.construct import enumerate_s
+from propp.primes import class3_upto, primes_upto
 from propp.verify import (
     APPLICABLE_VERIFIED,
     NOT_APPLICABLE,
+    _first_pair,
     check_lemma1,
     check_property_p,
     check_union_property_p,
@@ -71,13 +77,19 @@ def test_large_value_path_matches_oracle():
             assert verdict.witness_indices == expected
 
 
-def test_threaded_scan_deterministic():
+def test_threaded_scan_deterministic(tmp_path):
     rng = random.Random(3)
-    for _ in range(25):
+    for n in range(25):
         seq = sorted(rng.sample(range(1, 3000), 40))
-        v1 = check_property_p(seq, threads=1)
-        v8 = check_property_p(seq, threads=8)
-        assert v1 == v8
+        path = tmp_path / f"seq{n}.txt"
+        path.write_text("".join(f"{v}\n" for v in seq))
+        outputs = []
+        for threads in ("1", "8"):
+            out = tmp_path / f"out{n}.t{threads}"
+            code = cli_main(["verify", "--input", str(path), "--threads", threads,
+                             "--out", str(out)])
+            outputs.append((code, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 def test_cap_and_force():
@@ -131,3 +143,161 @@ def test_union_holds_small():
     assert check_union_property_p(10 ** 4).holds
     assert check_union_property_p(728).holds
     assert check_union_property_p(10 ** 6, exclude_qi=True).holds
+
+
+C3 = [int(p) for p in class3_upto(2000)]
+C1 = [int(p) for p in primes_upto(300) if p % 4 == 1]
+
+
+def _generic_scan(seq):
+    """The per-outer-index residue scan for every i (the lattice's fallback
+    alone): the lexicographically first witness, or None."""
+    for i in range(len(seq) - 2):
+        found = _first_pair([v % seq[i] for v in seq[i + 1:]], seq[i])
+        if found is not None:
+            return i, i + 1 + found[0], i + 1 + found[1]
+    return None
+
+
+def _assert_scan_matches(seq, naive=True):
+    expected = _generic_scan(seq)
+    if naive:
+        assert naive_property_p(seq) == expected, seq
+    verdict = check_property_p(seq, force=True)
+    if expected is None:
+        assert verdict.holds and verdict.triples_checked == math.comb(len(seq), 3), seq
+    else:
+        assert verdict.witness_indices == expected, seq
+        assert verdict.witness == tuple(seq[t] for t in expected)
+    return verdict.holds
+
+
+def _class3_root(rng, most=3):
+    """2^e times up to `most` class-3 primes: a root the lattice decides."""
+    r = 1 << rng.randint(0, 3) if rng.random() < 0.3 else 1
+    for _ in range(rng.randint(1, most)):
+        r *= rng.choice(C3[:60])
+    return r
+
+
+def _squares(roots):
+    return sorted({r * r for r in roots})
+
+
+def _plant_shared_multiple(rng, roots):
+    """Add two multiples of one root, so r_i | r_j and r_i | r_k."""
+    r = rng.choice(sorted(roots))
+    return roots | {r * _class3_root(rng, 2), r * rng.randint(2, 60)}
+
+
+def _plant_sum_of_squares(rng, roots):
+    """Add r = p c with p = a^2 + b^2 = 1 mod 4 and two roots x, y, neither
+    a multiple of r, with r^2 | x^2 + y^2: (a^2 - b^2)^2 + (2ab)^2 = p^2."""
+    p = rng.choice(C1)
+    a, b = next((a, b) for a in range(1, p) for b in range(1, a)
+                if a * a + b * b == p)
+    c = _class3_root(rng, 1)
+    m = next(m for m in itertools.count(p + 1 + rng.randint(0, 50)) if m % p)
+    return roots | {p * c, (a * a - b * b) * c * m, 2 * a * b * c * m}
+
+
+def _add_non_squares(rng, seq, count):
+    out = set(seq)
+    while len(out) < len(seq) + count:
+        v = rng.randint(2, 2 * seq[-1])
+        if math.isqrt(v) ** 2 != v:
+            out.add(v)
+    return sorted(out)
+
+
+def test_lattice_matches_oracles_on_square_sequences():
+    rng = random.Random(11)
+    outcomes = set()
+    for t in range(600):
+        roots = {_class3_root(rng) for _ in range(rng.randint(3, 30))}
+        if t % 3 == 0:
+            roots = _plant_shared_multiple(rng, roots)
+        if t % 5 == 1:  # roots with a prime factor = 1 mod 4
+            roots = {r * rng.choice(C1) if rng.random() < 0.4 else r for r in roots}
+        if t % 5 == 4:  # a witness that shares no multiple, among primes
+            roots = _plant_sum_of_squares(rng, set(rng.sample(C3[100:], 20)))
+        if t % 7 == 2:  # powers of 2
+            roots |= {1 << e for e in rng.sample(range(1, 30), 4)}
+        if t % 11 == 3:
+            roots.add(1)
+        outcomes.add(_assert_scan_matches(_squares(roots)))
+    assert outcomes == {True, False}
+
+
+def test_lattice_matches_oracles_on_s_samples():
+    rng = random.Random(12)
+    s = [e.value for e in enumerate_s(10 ** 12)]
+    outcomes = set()
+    for t in range(60):
+        seq = sorted(rng.sample(s, rng.randint(20, 300)))
+        if t % 2:
+            roots = _plant_shared_multiple(rng, {math.isqrt(v) for v in seq})
+            seq = _squares(roots)
+        outcomes.add(_assert_scan_matches(seq, naive=len(seq) <= 40))
+    assert outcomes == {True, False}
+
+
+def test_lattice_matches_oracles_with_non_squares():
+    rng = random.Random(13)
+    outcomes = set()
+    for t in range(400):
+        roots = {_class3_root(rng) for _ in range(rng.randint(3, 30))}
+        if t % 3 == 0:
+            roots = _plant_shared_multiple(rng, roots)
+        seq = _add_non_squares(rng, _squares(roots), 1 if t % 2 else rng.randint(2, 12))
+        if t % 9 == 4:
+            seq = [1] + [v for v in seq if v > 1]
+        outcomes.add(_assert_scan_matches(seq))
+    # large S samples with one or a few non-squares: the one-pass-per-
+    # non-square lookup and the sorted fallback both run
+    s = [e.value for e in enumerate_s(10 ** 10)]
+    for count in (1, 2, 12):
+        for _ in range(10):
+            seq = _add_non_squares(rng, sorted(rng.sample(s, 300)), count)
+            outcomes.add(_assert_scan_matches(seq, naive=False))
+    assert outcomes == {True, False}
+
+
+def test_lattice_matches_oracles_beyond_int64():
+    rng = random.Random(14)
+    scale = 7 ** 20  # a class-3 factor keeps every root in the lattice
+    outcomes = set()
+    for t in range(200):
+        roots = {_class3_root(rng) * scale for _ in range(rng.randint(3, 25))}
+        if t % 3 == 0:
+            roots = _plant_shared_multiple(rng, roots)
+        if t % 4 == 1:
+            roots = {r * rng.choice(C1) if rng.random() < 0.3 else r for r in roots}
+        if t % 4 == 3:
+            roots = {r * scale for r in _plant_sum_of_squares(rng, set())} | roots
+        seq = _squares(roots)
+        assert seq[0] > 1 << 62
+        if t % 5 == 2:
+            seq = _add_non_squares(rng, seq, rng.randint(1, 3))
+        outcomes.add(_assert_scan_matches(seq))
+    assert outcomes == {True, False}
+
+
+def test_roots_past_the_trial_budget_fall_back():
+    # products of two class-3 primes near 46k take the whole trial budget;
+    # with short tails the budget runs out and the generic scan decides
+    rng = random.Random(15)
+    big = [int(p) for p in class3_upto(46340) if p > 40000]
+    for _ in range(20):
+        roots = {rng.choice(big) * rng.choice(big) for _ in range(12)}
+        if rng.random() < 0.5:
+            roots = _plant_shared_multiple(rng, roots)
+        _assert_scan_matches(_squares(roots))
+
+
+def test_union_frontier_1e14():
+    t0 = time.monotonic()
+    v = check_union_property_p(10 ** 14)
+    elapsed = time.monotonic() - t0
+    assert v.holds and v.triples_checked == math.comb(55769, 3)
+    assert elapsed < 60.0, elapsed
