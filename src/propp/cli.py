@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
@@ -48,8 +49,9 @@ def _dump_json(payload: dict, stream) -> None:
 
 def _write(args, emit_fn) -> None:
     """Emit to stdout or to `--out`.  A regular or new file is written
-    through a temp file beside it, which replaces it only once the report
-    is complete; a device or pipe (such as /dev/null) is written in place."""
+    through a temp file beside it, which takes the old file's mode and
+    replaces it only once the report is complete; a device or pipe (such
+    as /dev/null) is written in place."""
     if not args.out:
         emit_fn(sys.stdout)
         return
@@ -63,6 +65,8 @@ def _write(args, emit_fn) -> None:
     try:
         with stream:
             emit_fn(stream)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
         os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)

@@ -187,11 +187,11 @@ _S_ELEMENT_BYTES = 800
 _S_MEMORY_BUDGET = 4 << 30
 
 
-def require_s_fits(limit: int, exclude_qi: bool = False) -> int:
-    """|S ∩ [1, limit]|, counted layer by layer without enumerating.
+def require_s_fits(limit: int, exclude_qi: bool = False) -> None:
+    """Guard: raise ResourceError when materialising S ∩ [1, limit] would
+    pass the memory budget, so callers refuse before walking the layers.
 
-    Raises ResourceError when materialising that many elements would pass
-    the memory budget, so callers refuse before walking the layers.
+    The elements are counted layer by layer without enumerating.
     """
     layers = range(1, max_set_index(limit, exclude_qi) + 1)
     total = sum(count_s_i(i, limit, exclude_qi) for i in layers)
@@ -199,7 +199,6 @@ def require_s_fits(limit: int, exclude_qi: bool = False) -> int:
         raise ResourceError(
             f"S up to {limit} has {total} elements, past the memory budget of "
             f"{_S_MEMORY_BUDGET // _S_ELEMENT_BYTES} at ~{_S_ELEMENT_BYTES} bytes each")
-    return total
 
 
 def landau_term(x, k: int) -> float:

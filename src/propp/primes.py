@@ -117,6 +117,8 @@ _MR_EXACT_BELOW = (
     3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
     3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
     3_317_044_064_679_887_385_961_981)
+# is_prime proves primality below this bound; past it, a True is probable
+IS_PRIME_EXACT_BELOW = _MR_EXACT_BELOW[-1]
 
 
 def is_prime(n: int) -> bool:

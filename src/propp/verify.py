@@ -22,11 +22,15 @@ needs residues: a_k = -a_t (mod a_i) with k != t, one lookup per
 non-square over the tail residues.  An outer i falls back to the generic
 scan for that i alone, reducing the tail mod a_i and looking for a
 residue pair summing to 0 or a_i, when a_i is not a square, when r has a
-prime factor = 1 mod 4, or when r does not factor within the lattice's
-trial-division budget.  On the big-integer path (values past 2^62) a
-tail with non-squares takes the generic scan too: its residues are
-computed in Python either way.  Whichever path decides that i has a
-witness, the same generic routine picks the lexicographically first pair.
+prime factor = 1 mod 4, when r does not factor within the lattice's
+trial-division budget, when factoring leaves a cofactor past 3.3e24
+(where Miller-Rabin only says "probably prime"), or when the tail holds
+at least as many non-squares as its length has bits (then residues of
+the whole tail cost no more than a lookup per non-square).  On the
+big-integer path (values past 2^62) a tail with any non-square takes the
+generic scan: its residues are computed in Python either way.  Whichever
+path decides that i has a witness, the same generic routine picks the
+lexicographically first pair.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ import numpy as np
 from .construct import enumerate_s
 from .counting import require_s_fits
 from .errors import ResourceError, require_int
-from .primes import is_prime
+from .primes import IS_PRIME_EXACT_BELOW, is_prime
 from .seqfile import validate_sequence
 
 # Largest n with C(n,3) <= 5e9 logical triples; beyond it require force=True.
@@ -83,36 +87,26 @@ def _lex_rank(n: int, i: int, j: int, k: int) -> int:
     return rank + (k - j)
 
 
-# Below 2^15, trial division to sqrt(m) (at most 90 odd divisors, ~5 us)
-# costs about one Miller-Rabin test (~5 us at 1e6), so smaller cofactors
-# are proven prime by trial alone.
-_MR_FLOOR = 1 << 15
-
-
 def _prime_factors(n: int, bound: int):
     """Distinct prime factors of n >= 1, ascending, by trial division.
 
     Trial divisors run up to `bound` and stop once the cofactor m is 1 or
-    prime: no divisor up to sqrt(m), or Miller-Rabin (exact below 3.3e24)
-    once m >= 2^15.  A composite cofactor with no divisor up to `bound`
-    raises ResourceError.
+    passes Miller-Rabin, which proves it prime below 3.3e24.  A composite
+    cofactor with no divisor up to `bound` raises ResourceError.
     """
     m = n
     if m % 2 == 0:
         yield 2
         m >>= (m & -m).bit_length() - 1
     d = 3
-    while m > 1 and not (m >= _MR_FLOOR and is_prime(m)):
-        root = math.isqrt(m)
-        top = min(bound, root)
+    while m > 1 and not is_prime(m):
+        top = min(bound, math.isqrt(m))
         d = next((t for t in range(d, top + 1, 2) if m % t == 0), 0)
         if not d:
-            # m >= 2^15 already failed Miller-Rabin above
-            if top < root and not (m < _MR_FLOOR and is_prime(m)):
-                raise ResourceError(
-                    f"{m} has no prime factor up to {bound}; "
-                    "factoring it is beyond the trial-division budget")
-            break
+            # a composite m has a divisor <= isqrt(m), so top < isqrt(m)
+            raise ResourceError(
+                f"{m} has no prime factor up to {bound}; "
+                "factoring it is beyond the trial-division budget")
         yield d
         while m % d == 0:
             m //= d
@@ -127,10 +121,11 @@ _LATTICE_TRIAL_BOUND = math.isqrt(math.isqrt(_NUMPY_VALUE_CEILING))
 
 def _lattice_root(r: int, bound: int) -> bool:
     """Does r provably have no prime factor = 1 mod 4, by trial division
-    up to min(bound, isqrt(2^31))?"""
+    up to min(bound, isqrt(2^31))?  A last cofactor past 3.3e24 is only a
+    probable prime, so it does not count as proof."""
     try:
         factors = _prime_factors(r, min(bound, _LATTICE_TRIAL_BOUND))
-        return all(p % 4 != 1 for p in factors)
+        return all(p % 4 != 1 and p < IS_PRIME_EXACT_BELOW for p in factors)
     except ResourceError:
         return False
 
@@ -185,20 +180,23 @@ def _two_multiples(r: int, roots: list[int], after: int, root_set: set,
     return next(islice(hits, 1, None), None) is not None
 
 
+def _root_index(a: list[int], square: list[bool], a_np):
+    """The square roots in order, as a list, a set and (int64 path) an
+    array, and the positions of the non-squares as an array."""
+    roots = [math.isqrt(v) for v, sq in zip(a, square) if sq]
+    if a_np is None:  # the lattice takes no int64 path
+        return roots, set(roots), None, None
+    non_squares = [t for t, sq in enumerate(square) if not sq]
+    return (roots, set(roots), np.asarray(roots, dtype=np.int64),
+            np.asarray(non_squares, dtype=np.int64))
+
+
 def _scan(a: list[int]) -> Optional[tuple[int, int, int]]:
     """Lexicographically first witness (i, j, k), or None."""
     n = len(a)
     a_np = np.asarray(a, dtype=np.int64) if a[-1] <= _NUMPY_VALUE_CEILING else None
-    roots = [math.isqrt(v) for v in a]
-    square = [r * r == v for r, v in zip(roots, a)]
-    sq_roots = [r for r, sq in zip(roots, square) if sq]
-    sq_set = set(sq_roots)
-    non_squares = [i for i, sq in enumerate(square) if not sq]
-    if sq_roots and a_np is not None:
-        sq_np = np.asarray(sq_roots, dtype=np.int64)
-        ns_np = np.asarray(non_squares, dtype=np.int64)
-    else:  # the lattice takes no int64 path
-        sq_np = ns_np = None
+    square = None  # per-element flags, built at the first square outer index
+    index = None  # _root_index, built at the first outer index the lattice takes
     # Trial division to b costs ~25 ns * b (b/2 odd divisors).  The generic
     # step it may spare costs ~15 us plus ~30-60 ns per tail element on the
     # int64 path, or ~300 ns per element in Python, so a root gets a trial
@@ -207,22 +205,30 @@ def _scan(a: list[int]) -> Optional[tuple[int, int, int]]:
     squares_seen = 0
     for i in range(n - 2):
         ai = a[i]
-        tail = n - 1 - i
-        squares_seen += square[i]
-        ns_at = i + 1 - squares_seen  # non-squares up to i
-        tail_ns = len(non_squares) - ns_at
-        budget = 256 + (tail // 4 if a_np is not None else 2 * tail)
         res = None  # int64 tail residues mod a_i, once a path needs them
-        if square[i] and _lattice_root(roots[i], budget):
-            hit = _two_multiples(roots[i], sq_roots, squares_seen, sq_set, sq_np)
+        lattice = False
+        root = math.isqrt(ai)
+        if root * root == ai:
+            if square is None:
+                square = [math.isqrt(v) ** 2 == v for v in a]
+                n_squares = sum(square)
+            squares_seen += 1
+            tail = n - 1 - i
+            tail_ns = tail - (n_squares - squares_seen)
+            # past this many tail non-squares the residues of the whole
+            # tail cost no more than the lattice's lookups for them
+            if tail_ns < (tail.bit_length() if a_np is not None else 1):
+                budget = 256 + (tail // 4 if a_np is not None else 2 * tail)
+                lattice = _lattice_root(root, budget)
+        if lattice:
+            if index is None:
+                index = _root_index(a, square, a_np)
+            roots, root_set, roots_np, ns_np = index
+            hit = _two_multiples(root, roots, squares_seen, root_set, roots_np)
             if not hit and tail_ns:
-                if a_np is None:
-                    hit = True  # _first_pair below is the residue lookup
-                else:
-                    res = a_np[i + 1:] % ai
-                    # a pass per non-square beats sorting the tail while few
-                    hit = (_non_square_pair_exists(res, ns_np[ns_at:] - (i + 1), ai)
-                           if tail_ns < tail.bit_length() else _pair_exists(res, ai))
+                res = a_np[i + 1:] % ai
+                ns_at = i + 1 - squares_seen  # non-squares up to i
+                hit = _non_square_pair_exists(res, ns_np[ns_at:] - (i + 1), ai)
         elif a_np is not None:
             res = a_np[i + 1:] % ai
             hit = _pair_exists(res, ai)

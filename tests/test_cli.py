@@ -90,6 +90,7 @@ def test_verify_roundtrip(tmp_path, capsys):
 def test_failed_command_leaves_out_untouched(tmp_path, capsys, monkeypatch):
     existing = tmp_path / "report.txt"
     existing.write_text("previous report\n")
+    existing.chmod(0o640)
     fresh = tmp_path / "fresh.txt"
 
     def write_then_fail(values, stream):
@@ -113,6 +114,7 @@ def test_failed_command_leaves_out_untouched(tmp_path, capsys, monkeypatch):
                      "--out", str(existing))
     assert code == 0 and existing.read_text() == "729\n3969\n9801\n"
     assert sorted(os.listdir(tmp_path)) == ["report.txt"]
+    assert existing.stat().st_mode & 0o777 == 0o640  # the mode survives
 
 
 def test_out_through_a_link_or_into_a_pipe(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from propp import DomainError, ResourceError, SequenceFormatError
 from propp.cli import main as cli_main
 from propp.construct import enumerate_s
-from propp.primes import class3_upto, primes_upto
+from propp.primes import IS_PRIME_EXACT_BELOW, class3_upto, is_prime, primes_upto
 from propp.verify import (
     APPLICABLE_VERIFIED,
     NOT_APPLICABLE,
@@ -263,7 +263,7 @@ def test_lattice_matches_oracles_with_non_squares():
     assert outcomes == {True, False}
 
 
-def test_lattice_matches_oracles_beyond_int64():
+def test_lattice_matches_oracles_beyond_int64(monkeypatch):
     rng = random.Random(14)
     scale = 7 ** 20  # a class-3 factor keeps every root in the lattice
     outcomes = set()
@@ -281,6 +281,20 @@ def test_lattice_matches_oracles_beyond_int64():
             seq = _add_non_squares(rng, seq, rng.randint(1, 3))
         outcomes.add(_assert_scan_matches(seq))
     assert outcomes == {True, False}
+    # a root m = p1 p2 past 3.3e24, p1 = 1 mod 4, where is_prime is only a
+    # probable-prime test: were a strong pseudoprime m taken as prime, m^2
+    # would miss the witness x^2 + y^2 = p2^2 (1 + s^2), s^2 = -1 mod p1^2
+    p1 = next(p for p in itertools.count(2 * 10 ** 12 + 1, 4) if is_prime(p))
+    p2 = next(p for p in itertools.count(2 * 10 ** 12 + 3, 4) if is_prime(p))
+    m = p1 * p2
+    assert m % 4 == 3 and m > IS_PRIME_EXACT_BELOW
+    c = next(c for c in itertools.count(2) if pow(c, (p1 - 1) // 2, p1) == p1 - 1)
+    s = pow(c, (p1 - 1) // 4, p1)
+    s = (s - (s * s + 1) * pow(2 * s, -1, p1 * p1)) % (p1 * p1)  # Hensel lift
+    seq = _squares({m, p2 * (1 + p1 * p1), p2 * (s + p1 * p1)})
+    assert not _assert_scan_matches(seq)
+    monkeypatch.setattr("propp.verify.is_prime", lambda v: v == m or is_prime(v))
+    assert not _assert_scan_matches(seq)
 
 
 def test_roots_past_the_trial_budget_fall_back():
