@@ -17,7 +17,7 @@ from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 
 from . import constants, construct, counting, primes, seqfile, verify
-from .errors import PropPError, require_int
+from .errors import PropPError, require_fits, require_int
 
 SCHEMA_VERSION = "1"
 
@@ -110,25 +110,21 @@ def _int_list(text: str) -> list[int]:
     return [_int_arg(part) for part in text.split(",") if part]
 
 
-def _threads_arg(text: str) -> int:
-    """A thread count clamped into [1, CPU count]: pools never outgrow the box."""
-    return min(max(_int_arg(text), 1), os.cpu_count() or 1)
-
-
-def _default_plimit() -> int:
+def _add_plimits(parser) -> None:
+    """--plimit, defaulting to PROPP_PLIMIT when set, and --h-plimit."""
     env = os.environ.get("PROPP_PLIMIT")
-    if not env:
-        return constants.DEFAULT_CONSTANT_PLIMIT
     try:
-        return int(env)
+        plimit = int(env) if env else constants.DEFAULT_CONSTANT_PLIMIT
     except ValueError:
         raise PropPError(f"PROPP_PLIMIT must be an integer, got {env!r}") from None
+    parser.add_argument("--plimit", type=_int_arg, default=plimit)
+    parser.add_argument("--h-plimit", type=_int_arg, default=constants.DEFAULT_H_PLIMIT)
 
 
 def cmd_sieve(args) -> int:
     # primes_upto(1) is an empty array, not an error
     limit = require_int("sieve limit", args.limit, 2)
-    prime_count = len(primes.primes_upto(limit, threads=args.threads))
+    prime_count = len(primes.primes_upto(limit))
     class3 = primes.class3_upto(limit).tolist()
     def emit(stream):
         if args.emit == "csv":
@@ -151,6 +147,9 @@ def cmd_construct(args) -> int:
         counting.require_s_fits(args.limit, args.exclude_qi)
         elements = construct.enumerate_s(args.limit, exclude_qi=args.exclude_qi)
     else:
+        size = counting.layer_size(args.set_index, args.limit, args.exclude_qi)
+        require_fits(f"S_{args.set_index} up to {args.limit}", size,
+                     counting.S_ELEMENT_BYTES)
         elements = construct.enumerate_s_i(args.set_index, args.limit,
                                            exclude_qi=args.exclude_qi)
     def emit(stream):
@@ -188,10 +187,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_verify(args) -> int:
     values = seqfile.read_sequence(args.input)
-    kwargs = {"force": args.force}
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    verdict = verify.check_property_p(values, **kwargs)
+    verdict = verify.check_property_p(values, force=args.force)
     def emit(stream):
         _dump_json({
             "holds": verdict.holds,
@@ -225,7 +221,7 @@ def _meng_kwargs(args) -> dict:
 def cmd_pik(args) -> int:
     payload: dict = {"x": args.x, "k": args.k, "mode": args.mode}
     if args.mode in ("exact", "all"):
-        payload["exact"] = counting.pi_k_exact(args.x, args.k, threads=args.threads)
+        payload["exact"] = counting.pi_k_exact(args.x, args.k)
     if args.mode in ("main", "all"):
         payload["meng_main"] = counting.meng_estimate(
             args.x, args.k, "main", **_meng_kwargs(args))
@@ -246,8 +242,7 @@ _COMPARE_COLUMNS = ("x", "k", "exact", "landau", "meng_main", "meng_full", "rati
 
 
 def cmd_compare(args) -> int:
-    reports = counting.compare(args.x_grid, args.k_set, threads=args.threads,
-                               **_meng_kwargs(args))
+    reports = counting.compare(args.x_grid, args.k_set, **_meng_kwargs(args))
     def emit(stream):
         if args.emit == "json":
             _dump_json({"reports": [asdict(r) for r in reports]}, stream)
@@ -293,9 +288,8 @@ def cmd_count_s(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    # the suite fills the prime store; the values below read it warm
-    checks = constants.bounds_report(args.plimit, args.h_plimit,
-                                     threads=args.threads)
+    # the suite's one sieve fills the prime store; the values below read it warm
+    checks = constants.bounds_report(args.plimit, args.h_plimit)
     m_est = constants.mertens_m34(args.plimit)
     c_est = constants.c34(args.plimit)
     # the published 0.1485/0.1486 chain is specifically about the 1e4 truncation
@@ -320,8 +314,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    checks = constants.bounds_report(args.plimit, args.h_plimit,
-                                     threads=args.threads)
+    checks = constants.bounds_report(args.plimit, args.h_plimit)
     ok = all(c.passed for c in checks)
     def emit(stream):
         if args.emit == "json":
@@ -358,7 +351,7 @@ def cmd_theorem_terms(args) -> int:
 def _add_common(parser, emits, default_emit):
     parser.add_argument("--emit", choices=emits, default=default_emit)
     parser.add_argument("--out", help="write the report to this path")
-    parser.add_argument("--threads", type=_threads_arg, default=1)
+    parser.add_argument("--threads", type=_int_arg, help="ignored: the sieve is serial")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="decide Property P for a sequence file")
     p.add_argument("--input", required=True)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--cap", type=_int_arg)
     _add_common(p, ("json",), "json")
     p.set_defaults(fn=cmd_verify)
 
@@ -407,18 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_arg, required=True)
     p.add_argument("--mode", choices=("exact", "main", "full", "all"),
                    default="exact")
-    p.add_argument("--plimit", type=_int_arg, default=_default_plimit())
-    p.add_argument("--h-plimit", type=_int_arg,
-                   default=constants.DEFAULT_H_PLIMIT)
+    _add_plimits(p)
     _add_common(p, ("json",), "json")
     p.set_defaults(fn=cmd_pik)
 
     p = sub.add_parser("compare", help="exact counts against the asymptotics")
     p.add_argument("--x-grid", type=_int_list, required=True)
     p.add_argument("--k-set", type=_int_list, required=True)
-    p.add_argument("--plimit", type=_int_arg, default=_default_plimit())
-    p.add_argument("--h-plimit", type=_int_arg,
-                   default=constants.DEFAULT_H_PLIMIT)
+    _add_plimits(p)
     _add_common(p, ("csv", "json"), "csv")
     p.set_defaults(fn=cmd_compare)
 
@@ -429,16 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count_s)
 
     p = sub.add_parser("constants", help="all named constants with bound checks")
-    p.add_argument("--plimit", type=_int_arg, default=_default_plimit())
-    p.add_argument("--h-plimit", type=_int_arg,
-                   default=constants.DEFAULT_H_PLIMIT)
+    _add_plimits(p)
     _add_common(p, ("json",), "json")
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("bounds", help="run the inequality suite, exit 1 on failure")
-    p.add_argument("--plimit", type=_int_arg, default=_default_plimit())
-    p.add_argument("--h-plimit", type=_int_arg,
-                   default=constants.DEFAULT_H_PLIMIT)
+    _add_plimits(p)
     _add_common(p, ("plain", "json"), "plain")
     p.set_defaults(fn=cmd_bounds)
 

@@ -12,7 +12,7 @@ bracket, or a combination of the two.  Two families of quantities:
   memoised L = sum log(1-1/p), the class 3 for every other sum, and the
   conditionally convergent series recombine them (C(3,4) = gamma + L + 2R).
   Float error stays near 1e-15 absolute, far inside the 5e-3 and 1e-2
-  tolerances, and no value depends on sieve threading.
+  tolerances.
 
 * The Gamma-normalised Euler product
       h(x) = (1/Gamma(x/2+1)) prod_p (1 - 1/p)^(x/2) (1 + x lambda(p)/p)
@@ -392,16 +392,12 @@ def _window_grid() -> list[float]:
 
 
 def bounds_report(constant_plimit: int = DEFAULT_CONSTANT_PLIMIT,
-                  h_plimit: int = DEFAULT_H_PLIMIT,
-                  threads: int = 1) -> list[BoundCheck]:
-    """Re-check every published inequality as an executable assertion.
-
-    `threads` only speeds up the one sieve that fills the prime store; every
-    sum below then reads the cached primes.
-    """
+                  h_plimit: int = DEFAULT_H_PLIMIT) -> list[BoundCheck]:
+    """Re-check every published inequality as an executable assertion;
+    one sieve to the larger truncation first, so no sum below re-sieves."""
     require_int("constant truncation limit", constant_plimit, 10 ** 4)
     require_int("h truncation limit", h_plimit, 10 ** 4)
-    primes_upto(max(constant_plimit, h_plimit), threads=threads)
+    primes_upto(max(constant_plimit, h_plimit))
     checks: list[BoundCheck] = []
     grid = _window_grid()
 

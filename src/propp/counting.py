@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constants
 from .construct import max_set_index, nu_bound
-from .errors import DomainError, ResourceError, require_int
+from .errors import MEMORY_BUDGET, DomainError, ResourceError, require_fits, require_int
 from .primes import class3_upto, nth_q, primes_upto, sieved_limit
 
 PI_K_FEASIBILITY_LIMIT = 10 ** 10
@@ -102,7 +102,7 @@ def _class3_counts(x: int, primes: np.ndarray):
     return count
 
 
-def pi_k_exact(x: int, k: int, threads: int = 1) -> int:
+def pi_k_exact(x: int, k: int) -> int:
     """Exact pi_k(x;4,3): pruned enumeration over ascending class-3 primes.
 
     The last factor is counted, never enumerated: a tuple with product P
@@ -116,7 +116,11 @@ def pi_k_exact(x: int, k: int, threads: int = 1) -> int:
     if x > PI_K_FEASIBILITY_LIMIT:
         raise ResourceError(
             f"x = {x} exceeds the enumeration feasibility guard {PI_K_FEASIBILITY_LIMIT}")
+    return _pi_k(x, k)
 
+
+def _pi_k(x: int, k: int) -> int:
+    """pi_k_exact past its guard too, where the prime store covers it."""
     smallest: list[int] = []
     for j in range(1, k + 1):
         smallest.append(nth_q(j))
@@ -127,9 +131,11 @@ def pi_k_exact(x: int, k: int, threads: int = 1) -> int:
     if leaves <= sieved_limit():
         arr = class3_upto(leaves)
         count = lambda v: np.searchsorted(arr, v, side="right")
+    elif x > PI_K_FEASIBILITY_LIMIT:
+        raise ResourceError(f"x = {x} needs a pi(v;4,3) table past the guard")
     else:
         root = math.isqrt(x)
-        count = _class3_counts(x, primes_upto(root, threads=threads))
+        count = _class3_counts(x, primes_upto(root))
         arr = class3_upto(root)
     if k == 1:
         return int(count(x))
@@ -159,21 +165,22 @@ def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
     """|S_i ∩ [1, limit]|, counted without enumerating the layer.
 
     q_i^4 nu^2 <= limit exactly when nu <= N = nu_bound(i, limit), so the
-    literal layer holds pi_i(N;4,3) elements.  With `exclude_qi` the nu
-    divisible by q_i come off by inclusion-exclusion on q_i:
-    sum_t (-1)^t pi_{i-t}(N / q_i^t;4,3), with pi_0 = 1.
+    literal layer holds pi_i(N;4,3) elements; past N = 10^10 they are read
+    only from a prime store covering N // (q_1...q_{i-1}).  With
+    `exclude_qi` the nu divisible by q_i come off by inclusion-exclusion
+    on q_i: sum_t (-1)^t pi_{i-t}(N / q_i^t;4,3), with pi_0 = 1.
     """
     require_int("set index", i)
     require_int("limit", limit)
     n = nu_bound(i, limit)
     if not exclude_qi:
-        return pi_k_exact(n, i) if n else 0
+        return _pi_k(n, i) if n else 0
     q = nth_q(i)
     total, sign = 0, 1
     for k in range(i, -1, -1):
         if n < 1:
             break
-        total += sign * (pi_k_exact(n, k) if k else 1)
+        total += sign * (_pi_k(n, k) if k else 1)
         sign, n = -sign, n // q
     return total
 
@@ -181,24 +188,32 @@ def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
 # Materialised, an element of S costs ~800 bytes at most: the JSON report
 # of `construct --all` peaked at 403 MB for the 483,065 elements below
 # 10^16 (~770 bytes each over the 30 MB interpreter; the plain walk alone
-# took ~270).  The budget is half of the 8 GB desk machine the project
-# targets.
-_S_ELEMENT_BYTES = 800
-_S_MEMORY_BUDGET = 4 << 30
+# took ~270).
+S_ELEMENT_BYTES = 800
+
+
+def layer_size(i: int, limit: int, exclude_qi: bool = False) -> int:
+    """|S_i ∩ [1, limit]|, or a lower bound once that alone passes the
+    memory budget.  Past the guard on N = nu_bound, it counts from the
+    store filled to P = N // (q_1...q_{i-1}), as the walk would sieve."""
+    require_int("limit", limit)
+    n = nu_bound(i, limit)
+    if n > PI_K_FEASIBILITY_LIMIT:
+        top = n // math.prod(map(nth_q, range(1, i)))
+        # q_1...q_{i-1} p is a nu for every class-3 p in (q_{i-1}, P], p != q_i
+        floor = _pi_k(top, 1) - i
+        if floor * S_ELEMENT_BYTES > MEMORY_BUDGET:
+            return floor
+        class3_upto(top)
+    return count_s_i(i, limit, exclude_qi)
 
 
 def require_s_fits(limit: int, exclude_qi: bool = False) -> None:
-    """Guard: raise ResourceError when materialising S ∩ [1, limit] would
-    pass the memory budget, so callers refuse before walking the layers.
-
-    The elements are counted layer by layer without enumerating.
-    """
+    """Guard: raise ResourceError, before any layer is walked, when
+    materialising S ∩ [1, limit] would pass the memory budget."""
     layers = range(1, max_set_index(limit, exclude_qi) + 1)
-    total = sum(count_s_i(i, limit, exclude_qi) for i in layers)
-    if total * _S_ELEMENT_BYTES > _S_MEMORY_BUDGET:
-        raise ResourceError(
-            f"S up to {limit} has {total} elements, past the memory budget of "
-            f"{_S_MEMORY_BUDGET // _S_ELEMENT_BYTES} at ~{_S_ELEMENT_BYTES} bytes each")
+    total = sum(layer_size(i, limit, exclude_qi) for i in layers)
+    require_fits(f"S up to {limit}", total, S_ELEMENT_BYTES)
 
 
 def landau_term(x, k: int) -> float:
@@ -223,7 +238,6 @@ def landau_term(x, k: int) -> float:
 
 
 def meng_estimate(x, k: int, mode: str = "main", *,
-                  uniformity_a: float = DEFAULT_UNIFORMITY_A,
                   c34_limit: int = constants.DEFAULT_CONSTANT_PLIMIT,
                   h_plimit: int = constants.DEFAULT_H_PLIMIT) -> float:
     """Class-restricted expansion of pi_k(x;4,3).
@@ -243,10 +257,10 @@ def meng_estimate(x, k: int, mode: str = "main", *,
         raise DomainError(f"expansion needs x > e^e, got {x}")
     lx = math.log(x)
     llx = math.log(lx)
-    if k > uniformity_a * llx:
+    if k > DEFAULT_UNIFORMITY_A * llx:
         raise DomainError(
             f"k = {k} exceeds the uniformity bound A log log x = "
-            f"{uniformity_a * llx:.4f} (A = {uniformity_a})")
+            f"{DEFAULT_UNIFORMITY_A * llx:.4f} (A = {DEFAULT_UNIFORMITY_A})")
     try:
         main = math.exp(-k * math.log(2.0) + lx - math.log(lx)
                         + (k - 1) * math.log(llx) - math.lgamma(k))
@@ -279,23 +293,23 @@ def corollary_window(x) -> tuple[float, float]:
     return half - 1.0, half + math.sqrt(half)
 
 
-def corollary_lower_bound(x, k: int, **meng_kwargs) -> float:
+def corollary_lower_bound(x, k: int) -> float:
     """Lower bound c * main-term with c = 0.802, valid on the corollary window."""
     lo, hi = corollary_window(x)
     if not lo <= k <= hi:
         raise DomainError(
             f"k = {k} outside the uniformity window [{lo:.4f}, {hi:.4f}]")
-    return ADMISSIBLE_C * meng_estimate(x, k, "main", **meng_kwargs)
+    return ADMISSIBLE_C * meng_estimate(x, k, "main")
 
 
-def compare(x_grid: Sequence[int], k_set: Sequence[int], *,
-            threads: int = 1, **meng_kwargs) -> list[CountReport]:
+def compare(x_grid: Sequence[int], k_set: Sequence[int],
+            **meng_kwargs) -> list[CountReport]:
     """One CountReport per (x, k) pair; expansion fields are None where the
     expansion's own guards exclude the pair (k = 1, small x, k too large)."""
     reports = []
     for x in x_grid:
         for k in k_set:
-            exact = pi_k_exact(x, k, threads=threads)
+            exact = pi_k_exact(x, k)
             landau = landau_term(x, k)
             try:
                 main = meng_estimate(x, k, "main", **meng_kwargs)

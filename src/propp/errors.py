@@ -22,3 +22,15 @@ def require_int(name: str, v, minimum: int = 1) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {v!r}")
     return v
+
+
+# Half of the 8 GB desk machine the project targets.
+MEMORY_BUDGET = 4 << 30
+
+
+def require_fits(what: str, count: int, element_bytes: int) -> None:
+    """Refuse, before building, `count` elements of ~`element_bytes` each."""
+    if count * element_bytes > MEMORY_BUDGET:
+        raise ResourceError(f"{what} has as many as {count} elements, past the "
+                            f"budget of {MEMORY_BUDGET // element_bytes} at "
+                            f"~{element_bytes} bytes each")

@@ -11,14 +11,11 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Segment grid is fixed by size, never by worker count: every reduction
-# over segments is therefore reproducible regardless of threading.
 SEGMENT_SIZE = 1 << 22
 
 # Memory budget guard; ~200M stored primes at the cap.
@@ -46,12 +43,7 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return (np.flatnonzero(mask) + lo).astype(np.int64)
 
 
-def _segment_bounds(limit: int, segment_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + segment_size - 1, limit))
-            for lo in range(2, limit + 1, segment_size)]
-
-
-def prime_segments(limit: int, threads: int = 1, segment_size: int = SEGMENT_SIZE):
+def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE):
     """Yield ascending arrays of primes covering [2, limit], one per segment."""
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
@@ -59,13 +51,8 @@ def prime_segments(limit: int, threads: int = 1, segment_size: int = SEGMENT_SIZ
         raise ResourceError(
             f"sieve limit {limit} exceeds the memory budget cap {MAX_SIEVE_LIMIT}")
     base = _base_primes(math.isqrt(limit))
-    bounds = _segment_bounds(limit, segment_size)
-    if threads <= 1:
-        for lo, hi in bounds:
-            yield _sieve_segment(lo, hi, base)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(lambda b: _sieve_segment(b[0], b[1], base), bounds)
+    for lo in range(2, limit + 1, segment_size):
+        yield _sieve_segment(lo, min(lo + segment_size - 1, limit), base)
 
 
 _cache_lock = threading.Lock()
@@ -74,7 +61,7 @@ _cached_class3 = np.empty(0, dtype=np.int64)
 _cached_limit = 1
 
 
-def primes_upto(limit: int, threads: int = 1) -> np.ndarray:
+def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as a read-only ascending int64 array (cached)."""
     global _cached_primes, _cached_class3, _cached_limit
     if limit > MAX_SIEVE_LIMIT:
@@ -85,7 +72,7 @@ def primes_upto(limit: int, threads: int = 1) -> np.ndarray:
     with _cache_lock:
         if limit > _cached_limit:
             new_limit = min(max(limit, 2 * _cached_limit, 1 << 16), MAX_SIEVE_LIMIT)
-            parts = list(prime_segments(new_limit, threads=threads))
+            parts = list(prime_segments(new_limit))
             primes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
             class3 = primes[(primes & 3) == 3]
             primes.flags.writeable = False
@@ -100,9 +87,9 @@ def sieved_limit() -> int:
     return _cached_limit
 
 
-def class3_upto(limit: int, threads: int = 1) -> np.ndarray:
+def class3_upto(limit: int) -> np.ndarray:
     """All primes p <= limit with p % 4 == 3, ascending, read-only."""
-    primes_upto(limit, threads=threads)
+    primes_upto(limit)
     with _cache_lock:
         cut = int(np.searchsorted(_cached_class3, limit, side="right"))
         return _cached_class3[:cut]
@@ -153,7 +140,7 @@ def lambda_indicator(p: int) -> int:
     return int(p % 4 == 3)
 
 
-def nth_q(i: int, threads: int = 1) -> int:
+def nth_q(i: int) -> int:
     """q_i, extending the sieve by doubling until the i-th class-3 prime exists."""
     if i < 1:
         raise DomainError(f"q index must be at least 1, got {i}")
@@ -162,10 +149,10 @@ def nth_q(i: int, threads: int = 1) -> int:
     else:
         # q_i grows like 2 i log i; overshoot so one sieve usually suffices
         bound = int(2.4 * i * (math.log(i) + math.log(math.log(i)) + 1.0)) + 16
-    arr = class3_upto(bound, threads=threads)
+    arr = class3_upto(bound)
     while len(arr) < i:
         bound *= 2
-        arr = class3_upto(bound, threads=threads)
+        arr = class3_upto(bound)
     return int(arr[i - 1])
 
 

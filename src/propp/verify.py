@@ -197,11 +197,11 @@ def _scan(a: list[int]) -> Optional[tuple[int, int, int]]:
     a_np = np.asarray(a, dtype=np.int64) if a[-1] <= _NUMPY_VALUE_CEILING else None
     square = None  # per-element flags, built at the first square outer index
     index = None  # _root_index, built at the first outer index the lattice takes
-    # Trial division to b costs ~25 ns * b (b/2 odd divisors).  The generic
-    # step it may spare costs ~15 us plus ~30-60 ns per tail element on the
-    # int64 path, or ~300 ns per element in Python, so a root gets a trial
-    # bound that costs at most about half that step before its outer index
-    # falls back to it.
+    # On a 2-vCPU VM trial division to b cost ~6 us + ~50 ns * b (36 us at
+    # b = 630, roots q q' of class-3 primes in (30k, 46k) that exhaust it);
+    # the generic step it may spare cost ~30 us + ~50 ns per tail element
+    # (int64), so a root that falls back adds ~1/4 (long tail) to ~2/3
+    # (short tail) of a step; in Python residues alone cost ~140 ns each.
     squares_seen = 0
     for i in range(n - 2):
         ai = a[i]
@@ -247,19 +247,18 @@ def _scan(a: list[int]) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def check_property_p(seq: Sequence[int], *, cap: int = DEFAULT_ELEMENT_CAP,
-                     force: bool = False) -> Verdict:
+def check_property_p(seq: Sequence[int], *, force: bool = False) -> Verdict:
     """Decide Property P for a strictly ascending sequence.
 
     Raises SequenceFormatError on malformed input and ResourceError when
-    the sequence exceeds `cap` elements without `force`.
+    the sequence exceeds DEFAULT_ELEMENT_CAP elements without `force`.
     """
     a = validate_sequence(seq)
     n = len(a)
-    if n > cap and not force:
+    if n > DEFAULT_ELEMENT_CAP and not force:
         raise ResourceError(
-            f"sequence has {n} elements, cubic-cost cap is {cap}; pass force "
-            "(CLI: --force) to scan anyway")
+            f"sequence has {n} elements, cubic-cost cap is {DEFAULT_ELEMENT_CAP}; "
+            "pass force (CLI: --force) to scan anyway")
     if n < 3:
         return Verdict(True, None, None, 0)
     witness_at = _scan(a)

@@ -5,8 +5,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from propp import seqfile
+from propp import primes, seqfile
 from propp.cli import build_parser, main
 from propp.construct import enumerate_s
 
@@ -304,12 +306,23 @@ def test_sieve_limit_below_two_is_a_usage_error(capsys):
     assert err.startswith("error:") and "sieve limit" in err
 
 
-def test_threads_clamped_to_cpu_count():
-    cpus = os.cpu_count() or 1
-    for given, want in (("100000", cpus), ("0", 1), ("-5", 1), ("1", 1)):
+def test_threads_parses_and_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"{thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for given in ("100000", "0", "-5", "1"):
         args = build_parser().parse_args(
             ["verify", "--input", "seq.txt", "--threads", given])
-        assert args.threads == want, given
+        assert args.threads == int(given)
+        # an empty prime store, so the run sieves to 10^7 again; the store
+        # comes back whole when the test ends
+        for name in ("_cached_primes", "_cached_class3"):
+            monkeypatch.setattr(primes, name, getattr(primes, name)[:0])
+        monkeypatch.setattr(primes, "_cached_limit", 1)
+        code = main(["sieve", "--limit", "1e7", "--threads", given,
+                     "--out", os.devnull])
+        assert code == 0, given
 
 
 def _timed_exit(capsys, argv):
@@ -342,6 +355,13 @@ EXIT_CONTRACT = [
     (["envelope", "--x", "10"], 2, None),
     # 38,285,539 elements, counted before any is built: past the budget
     (["construct", "--all", "--limit", "1e20"], 2, None),
+    # 28,099,272 elements in the one layer, counted the same way
+    (["construct", "--set-index", "1", "--limit", "1e20"], 2, None),
+    # x/3 + 1 elements, past the budget long before 1e20
+    (["baseline", "--kind", "block", "--x", "1e20"], 2, None),
+    (["baseline", "--kind", "block", "--x", "1e30"], 2, None),
+    # only --force lifts the element cap
+    (["verify", "--input", "seq.txt", "--cap", "10"], 2, None),
 ]
 
 
@@ -367,3 +387,76 @@ def test_unknown_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sieve", "--limit", "10", "--bogus"])
     assert exc.value.code == 2
+
+
+# Values that run cheaply wherever they are legal; 1e7..1e19 is left out
+# because legal commands there are slow, not wrong.
+_MENU = st.one_of(
+    st.sampled_from(["0", "-1", "1e20", "1e30", "1e5000", "inf", "nan", "abc",
+                     "", "2.5"]),
+    st.integers(1, 9999).map(str))
+_LISTS = st.lists(_MENU, min_size=1, max_size=3).map(",".join)
+_FLAG = None
+_PLIMITS = [("--plimit", _MENU, True), ("--h-plimit", _MENU, False)]
+
+
+def _emit(*choices):
+    return ("--emit", st.sampled_from(choices), False)
+
+
+# subcommand -> (option, values, always given); a None option is
+# positional and _FLAG values make a bare flag.  --plimit is always
+# drawn: its default (10^8) lies in the slow band.
+FUZZ_SPEC = {
+    "sieve": [("--limit", _MENU, True), _emit("json", "csv")],
+    "construct": [("--set-index", _MENU, False), ("--all", _FLAG, False),
+                  ("--limit", _MENU, True), ("--exclude-qi", _FLAG, False),
+                  _emit("plain", "json")],
+    "baseline": [("--kind", st.sampled_from(["squares", "block"]), True),
+                 ("--limit", _MENU, False), ("--x", _MENU, False),
+                 _emit("plain", "json")],
+    "verify": [("--input", st.lists(_MENU, max_size=6), True),
+               ("--force", _FLAG, False)],
+    "lemma1": [(None, _MENU, True)] * 3 + [_emit("plain", "json")],
+    "pik": [("--x", _MENU, True), ("--k", _MENU, True),
+            ("--mode", st.sampled_from(["exact", "main", "full", "all"]), False),
+            *_PLIMITS],
+    "compare": [("--x-grid", _LISTS, True), ("--k-set", _LISTS, True),
+                *_PLIMITS, _emit("csv", "json")],
+    "count-s": [("--limit", _MENU, True), ("--exclude-qi", _FLAG, False),
+                _emit("json", "plain")],
+    "constants": _PLIMITS,
+    "bounds": _PLIMITS + [_emit("plain", "json")],
+    "envelope": [("--x", _MENU, True)],
+    "theorem-terms": [("--x", _MENU, False), ("--log-x", _MENU, False),
+                      ("--j", _MENU, True)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_SPEC))
+def test_exit_contract_fuzz(command, capsys, tmp_path_factory):
+    """Any argv built from the menu, with any --threads, exits 0, 1 or 2
+    within 2 s and prints no traceback."""
+    seq_path = tmp_path_factory.mktemp("fuzz") / "seq.txt"
+
+    # capsys is read, and so emptied, after every example
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def run_one(data):
+        argv = [command]
+        for option, values, always in FUZZ_SPEC[command]:
+            if not always and not data.draw(st.booleans()):
+                continue
+            value = None if values is _FLAG else data.draw(values)
+            if option == "--input":
+                seq_path.write_text("".join(f"{v}\n" for v in value))
+                value = str(seq_path)
+            argv += [v for v in (option, value) if v is not None]
+        if data.draw(st.booleans()):
+            threads = data.draw(st.one_of(_MENU, st.integers().map(str)))
+            argv += ["--threads", threads]
+        code, _, _ = _timed_exit(capsys, argv)
+        assert code in (0, 1, 2), argv
+
+    run_one()

@@ -18,6 +18,7 @@ from propp.counting import (
     corollary_window,
     count_s_i,
     landau_term,
+    layer_size,
     meng_estimate,
     meng_neglected_scale,
     pi_k_exact,
@@ -174,6 +175,25 @@ def test_count_s_i_matches_enumeration(exclude_qi):
         assert count_s_i(i, lowest, exclude_qi) == 1
 
 
+@pytest.mark.parametrize("exclude_qi", [False, True])
+def test_layer_size_counts_past_the_guard(exclude_qi):
+    # N = nu_bound runs from 1.4e10 to 7e14, past the 10^10 guard; the
+    # store path counts these layers exactly
+    for i, limit in ((8, 10 ** 27), (8, 10 ** 28), (9, 10 ** 33), (10, 10 ** 37),
+                     (10, 10 ** 30)):
+        assert layer_size(i, limit, exclude_qi) == \
+            len(enumerate_s_i(i, limit, exclude_qi)), (i, limit)
+    for i, limit in ((1, 10 ** 12), (3, 10 ** 16)):
+        assert layer_size(i, limit, exclude_qi) == count_s_i(i, limit, exclude_qi)
+    # q_1...q_4 p for the ~1.1e7 class-3 primes p <= 4.3e8: a lower bound
+    # past the budget, returned without sieving that far
+    assert 10 ** 7 < layer_size(5, 10 ** 30, exclude_qi) < 1.2 * 10 ** 7
+    with pytest.raises(ResourceError):
+        layer_size(1, 10 ** 30, exclude_qi)  # pi(1.1e14;4,3) is past the guard
+    with pytest.raises(DomainError):
+        layer_size(1, -1, exclude_qi)
+
+
 def test_count_s_i_guards():
     for i, limit in ((0, 100), (1, 0), (True, 100), (1, 10.0 ** 4)):
         with pytest.raises(DomainError):
@@ -260,15 +280,14 @@ def test_corollary_window_and_ratio():
     assert math.ceil(lo) == 3 and math.floor(hi) == 5
     for k in (2, 6):
         with pytest.raises(DomainError):
-            corollary_lower_bound(10 ** 1294, k, c34_limit=10 ** 6)
+            corollary_lower_bound(10 ** 1294, k)
     # the 0.802 ratio, checked where the main term still fits in a double
     x = 10 ** 100  # log log x ~ 5.44, window [1.72, 4.37]
     for k in (2, 3, 4):
-        ratio = corollary_lower_bound(x, k, c34_limit=10 ** 6) / \
-            meng_estimate(x, k, "main", c34_limit=10 ** 6)
+        ratio = corollary_lower_bound(x, k) / meng_estimate(x, k, "main")
         assert ratio == pytest.approx(0.802, rel=1e-12)
     with pytest.raises(DomainError):
-        corollary_lower_bound(x, 5, c34_limit=10 ** 6)
+        corollary_lower_bound(x, 5)
     with pytest.raises(DomainError):
         corollary_lower_bound(10, 2)
 

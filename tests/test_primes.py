@@ -48,15 +48,10 @@ def test_sieve_prefix_property():
 
 
 def test_segment_size_does_not_change_output():
-    a = np.concatenate(list(prime_segments(10 ** 5, segment_size=1 << 22)))
-    b = np.concatenate(list(prime_segments(10 ** 5, segment_size=997)))
-    assert np.array_equal(a, b)
-
-
-def test_threaded_sieve_identical():
-    a = np.concatenate(list(prime_segments(10 ** 6, threads=1)))
-    b = np.concatenate(list(prime_segments(10 ** 6, threads=4)))
-    assert np.array_equal(a, b)
+    for limit, size in ((10 ** 5, 997), (10 ** 6, 1 << 16)):
+        a = np.concatenate(list(prime_segments(limit, segment_size=1 << 22)))
+        b = np.concatenate(list(prime_segments(limit, segment_size=size)))
+        assert np.array_equal(a, b), limit
 
 
 def test_sieve_guards():
