@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ def test_segment_size_does_not_change_output():
         a = np.concatenate(list(prime_segments(limit, segment_size=1 << 22)))
         b = np.concatenate(list(prime_segments(limit, segment_size=size)))
         assert np.array_equal(a, b), limit
+
+
+def test_threaded_sieve_identical(monkeypatch):
+    # four threads fill an empty prime store at once; each read must equal
+    # the serial sieve. The store comes back whole when the test ends.
+    expected = np.concatenate(list(prime_segments(10 ** 6)))
+    for name in ("_cached_primes", "_cached_class3"):
+        monkeypatch.setattr(primes, name, getattr(primes, name)[:0])
+    monkeypatch.setattr(primes, "_cached_limit", 1)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda _: (primes_upto(10 ** 6), class3_upto(10 ** 6)),
+                            range(4)))
+    for all_primes, class3 in got:
+        assert np.array_equal(all_primes, expected)
+        assert np.array_equal(class3, expected[(expected & 3) == 3])
 
 
 def test_sieve_guards():
