@@ -125,7 +125,7 @@ def cmd_sieve(args) -> int:
     # primes_upto(1) is an empty array, not an error
     limit = require_int("sieve limit", args.limit, 2)
     prime_count = len(primes.primes_upto(limit))
-    class3 = primes.class3_upto(limit).tolist()
+    class3 = primes.class3_upto(limit)
     def emit(stream):
         if args.emit == "csv":
             seqfile.write_sequence(class3, stream)
@@ -134,7 +134,7 @@ def cmd_sieve(args) -> int:
                 "limit": limit,
                 "prime_count": prime_count,
                 "class3_count": len(class3),
-                "class3": class3,
+                "class3": class3.tolist(),
             }, stream)
     _write(args, emit)
     return 0

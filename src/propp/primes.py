@@ -2,9 +2,11 @@
 
 q_i denotes the i-th prime p with p % 4 == 3 (3, 7, 11, 19, ...) and
 lambda(p) the {0,1} indicator of that class; p = 2 is classified as
-lambda(2) = 0.  Sieving is segmented so large limits run in bounded
-memory, and the results feed a process-wide cache that grows by doubling
-so repeated callers never re-sieve the same range.
+lambda(2) = 0.  The sieve is segmented (Bays and Hudson, BIT 17 (1977))
+and marks odd numbers only: each segment spans SEGMENT_SIZE consecutive
+integers, so its mask holds SEGMENT_SIZE / 2 bytes.  The results feed a
+process-wide store that grows by at least doubling; a growth sieves only
+the range past the old limit, so repeated callers never re-sieve it.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-SEGMENT_SIZE = 1 << 22
+# integers per segment, odd and even; the mask holds the odd ones (4 MiB)
+SEGMENT_SIZE = 1 << 23
 
 # Memory budget guard; ~200M stored primes at the cap.
 MAX_SIEVE_LIMIT = 1 << 32
@@ -32,26 +35,34 @@ def _base_primes(n: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    mask = np.ones(hi - lo + 1, dtype=bool)
+def _sieve_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """The odd primes in [lo, hi], given the odd primes up to sqrt(hi) in
+    `base`; mask entry j stands for the odd number first + 2j."""
+    first = lo | 1
+    mask = np.ones((hi - first) // 2 + 1, dtype=bool)
     for p in base:
-        p = int(p)
         if p * p > hi:
             break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        mask[start - lo:: p] = False
-    return (np.flatnonzero(mask) + lo).astype(np.int64)
+        start = max(p * p, -(-first // p) * p)
+        if not start & 1:
+            start += p
+        mask[(start - first) // 2:: p] = False
+    return np.flatnonzero(mask) * 2 + first
 
 
-def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE):
-    """Yield ascending arrays of primes covering [2, limit], one per segment."""
+def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE, start: int = 2):
+    """Yield ascending arrays of the primes in [start, limit]: [2] first
+    when start <= 2, then the odd ones, one array per `segment_size`
+    consecutive integers from 3 (or from start, if later)."""
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceError(
             f"sieve limit {limit} exceeds the memory budget cap {MAX_SIEVE_LIMIT}")
-    base = _base_primes(math.isqrt(limit))
-    for lo in range(2, limit + 1, segment_size):
+    if start <= 2:
+        yield np.array([2], dtype=np.int64)
+    base = _base_primes(math.isqrt(limit))[1:].tolist()
+    for lo in range(max(start, 3), limit + 1, segment_size):
         yield _sieve_segment(lo, min(lo + segment_size - 1, limit), base)
 
 
@@ -72,9 +83,11 @@ def primes_upto(limit: int) -> np.ndarray:
     with _cache_lock:
         if limit > _cached_limit:
             new_limit = min(max(limit, 2 * _cached_limit, 1 << 16), MAX_SIEVE_LIMIT)
-            parts = list(prime_segments(new_limit))
-            primes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            class3 = primes[(primes & 3) == 3]
+            old = _cached_primes
+            primes = np.concatenate(
+                [old, *prime_segments(new_limit, start=_cached_limit + 1)])
+            fresh = primes[len(old):]
+            class3 = np.concatenate([_cached_class3, fresh[(fresh & 3) == 3]])
             primes.flags.writeable = False
             class3.flags.writeable = False
             _cached_primes, _cached_class3, _cached_limit = primes, class3, new_limit

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .errors import SequenceFormatError
 
 
@@ -50,6 +52,35 @@ def read_sequence(path: str) -> list[int]:
         return parse_sequence(fh.read(), source=path)
 
 
+# values per block of text the array path formats and writes at once
+_WRITE_CHUNK = 1 << 18
+
+
 def write_sequence(values: Iterable[int], stream: IO[str]) -> None:
+    """Write `values` one per line.  A strictly ascending, positive int64
+    array is formatted a block at a time; anything else value by value."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.int64
+            and values.ndim == 1 and bool(np.all(values[:1] > 0))
+            and bool(np.all(values[1:] > values[:-1]))):
+        _write_int64(values, stream)
+        return
     for v in values:
         stream.write(f"{v}\n")
+
+
+def _write_int64(values: np.ndarray, stream: IO[str]) -> None:
+    """The lines of an ascending positive int64 array, grouped by digit
+    count: each block is an (n, d + 1) matrix of ASCII digits and newlines."""
+    # values below 10^d end at ends[d - 1]; computed here, not at import,
+    # where a numpy array raised the peak RSS of commands that never write
+    ends = np.searchsorted(values, 10 ** np.arange(1, 19, dtype=np.int64))
+    ends = ends.tolist() + [len(values)]
+    for digits, (lo, end) in enumerate(zip([0] + ends, ends), start=1):
+        for start in range(lo, end, _WRITE_CHUNK):
+            block = values[start:min(start + _WRITE_CHUNK, end)]
+            text = np.empty((len(block), digits + 1), dtype=np.uint8)
+            text[:, digits] = ord("\n")
+            for col in range(digits - 1, -1, -1):
+                block, text[:, col] = np.divmod(block, 10)
+            text[:, :digits] += ord("0")
+            stream.write(text.tobytes().decode("ascii"))

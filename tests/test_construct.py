@@ -1,9 +1,10 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
-from propp import DomainError, SequenceFormatError
+from propp import DomainError, SequenceFormatError, seqfile
 from propp.construct import (
     baseline_squares,
     contribution_window,
@@ -178,6 +179,41 @@ def test_sequence_file_roundtrip(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text(text)
     assert read_sequence(str(path)) == values
+
+
+def _written(values) -> str:
+    buf = io.StringIO()
+    write_sequence(values, buf)
+    return buf.getvalue()
+
+
+def test_array_writer_matches_the_value_loop(monkeypatch):
+    blocks = []
+    array_path = seqfile._write_int64
+    monkeypatch.setattr(seqfile, "_write_int64",
+                        lambda values, stream: blocks.append(len(values))
+                        or array_path(values, stream))
+    edges = {1, 2 ** 63 - 1} | {10 ** d + e for d in range(1, 19) for e in (-1, 0)}
+    chunk = seqfile._WRITE_CHUNK
+    arrays = [sorted(edges), [], [5], [10 ** 18]]
+    arrays += [range(1, n + 1) for n in (chunk - 1, chunk, chunk + 1)]
+    arrays += [range(10 ** 6 - chunk, 10 ** 6 + 2), range(97, 97 + 3 * chunk, 3)]
+    for values in arrays:
+        values = list(values)
+        assert _written(np.array(values, dtype=np.int64)) == \
+            "".join(f"{v}\n" for v in values), values[:3]
+    assert len(blocks) == len(arrays)
+    # the rest goes value by value, to the same bytes
+    fallbacks = [np.array([5, 3, 9], dtype=np.int64), np.array([4, 4], dtype=np.int64),
+                 np.array([0, 1, 2], dtype=np.int64), np.array([-7, 2], dtype=np.int64),
+                 np.array([3, 7, 11], dtype=np.int32), np.array([3, 7], dtype=np.uint64),
+                 [3, 10 ** 19, 2 ** 64 + 1, 10 ** 40],
+                 np.array([3, 10 ** 30], dtype=object)]
+    for values in fallbacks:
+        assert _written(values) == "".join(f"{v}\n" for v in values)
+    assert _written(v * v for v in range(1, 50)) == \
+        "".join(f"{v * v}\n" for v in range(1, 50))
+    assert len(blocks) == len(arrays)
 
 
 def test_sequence_file_format_errors():

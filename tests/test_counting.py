@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import json
 import math
 import os
@@ -160,6 +161,23 @@ def test_pi_k_memory_stays_small():
         "print(json.dumps([v, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
     assert value == 215_734_418
     assert peak_kb < 150 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_sieve_csv_at_1e8_cold(tmp_path):
+    # the class-3 store goes to the writer as an array, never as a list
+    out = tmp_path / "q.csv"
+    code, peak_kb = _cold(
+        "import json, resource\n"
+        "from propp.cli import main\n"
+        f"code = main(['sieve', '--limit', '1e8', '--emit', 'csv', '--out', {str(out)!r}])\n"
+        "print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+    pins = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "pins.json")
+    with open(pins, encoding="utf-8") as fh:
+        expected = json.load(fh)["sieve_csv"]["sha256"]
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+    assert peak_kb < 190 * 1024
 
 
 @pytest.mark.parametrize("exclude_qi", [False, True])

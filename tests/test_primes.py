@@ -1,3 +1,4 @@
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -53,6 +54,40 @@ def test_segment_size_does_not_change_output():
         a = np.concatenate(list(prime_segments(limit, segment_size=1 << 22)))
         b = np.concatenate(list(prime_segments(limit, segment_size=size)))
         assert np.array_equal(a, b), limit
+    # against trial division: every limit to 600, and p^2 - 1, p^2, p^2 + 1
+    # for base primes p, where p first crosses off.  Segments of 1-3
+    # integers cost ~10 us each, so past 600 they run only for p < 50
+    naive = trial_division_primes(100 ** 2 + 1)
+    limits = list(range(2, 601))
+    limits += [p * p + d for p in naive if p < 100 for d in (-1, 0, 1)]
+    for limit in limits:
+        expected = naive[:bisect.bisect_right(naive, limit)]
+        assert primes_upto(limit).tolist() == expected, limit
+        assert class3_upto(limit).tolist() == [p for p in expected if p % 4 == 3]
+        for size in (1, 2, 3, 997, 1 << 16):
+            if size > 3 or limit < 50 ** 2:
+                got = np.concatenate(list(prime_segments(limit, segment_size=size)))
+                assert got.tolist() == expected, (limit, size)
+
+
+def test_store_grows_by_sieving_only_the_new_range(monkeypatch):
+    expected = np.concatenate(list(prime_segments(10 ** 6)))
+    for name in ("_cached_primes", "_cached_class3"):
+        monkeypatch.setattr(primes, name, getattr(primes, name)[:0])
+    monkeypatch.setattr(primes, "_cached_limit", 1)
+    sieve, ranges = primes.prime_segments, []
+
+    def recording(limit, *args, **kwargs):
+        ranges.append((kwargs.get("start"), limit))
+        return sieve(limit, *args, **kwargs)
+
+    monkeypatch.setattr(primes, "prime_segments", recording)
+    for limit in (10 ** 3, 10 ** 5, 10 ** 6):
+        assert primes_upto(limit).tolist() == \
+            expected[:np.searchsorted(expected, limit, side="right")].tolist()
+    assert ranges == [(2, 1 << 16), ((1 << 16) + 1, 1 << 17), ((1 << 17) + 1, 10 ** 6)]
+    assert np.array_equal(primes_upto(10 ** 6), expected)
+    assert np.array_equal(class3_upto(10 ** 6), expected[(expected & 3) == 3])
 
 
 def test_threaded_sieve_identical(monkeypatch):
