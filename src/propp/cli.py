@@ -73,12 +73,6 @@ def _write(args, emit_fn) -> None:
         raise
 
 
-# int(Decimal) took 0.47 s at 10^5 digits and 42 s at 10^6 on a 2-vCPU VM;
-# past the interpreter's int/str digit limit (4300 by default) the value
-# could not be echoed back in the report either
-_MAX_INT_DIGITS = min(sys.get_int_max_str_digits() or 10 ** 5, 10 ** 5)
-
-
 def _magnitude(text: str):
     """Parse a possibly huge numeric argument: exact int when integral."""
     try:
@@ -92,9 +86,9 @@ def _magnitude(text: str):
     if not d.is_finite():
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     if d == d.to_integral_value():
-        if d.adjusted() >= _MAX_INT_DIGITS:
+        if d.adjusted() >= seqfile.MAX_INT_DIGITS:
             raise argparse.ArgumentTypeError(
-                f"integer has more than {_MAX_INT_DIGITS} digits")
+                f"integer has more than {seqfile.MAX_INT_DIGITS} digits")
         return int(d)
     return float(d)
 

@@ -19,18 +19,16 @@ both roots: the scan asks whether two later square roots are multiples
 of r, walking r's multiples through a set of the roots or testing the
 tail roots, whichever is shorter.  A pair touching a non-square a_t
 needs residues: a_k = -a_t (mod a_i) with k != t, one lookup per
-non-square over the tail residues.  An outer i falls back to the generic
-scan for that i alone, reducing the tail mod a_i and looking for a
-residue pair summing to 0 or a_i, when a_i is not a square, when r has a
-prime factor = 1 mod 4, when r does not factor within the lattice's
-trial-division budget, when factoring leaves a cofactor past 3.3e24
-(where Miller-Rabin only says "probably prime"), or when the tail holds
-at least as many non-squares as its length has bits (then residues of
-the whole tail cost no more than a lookup per non-square).  On the
-big-integer path (values past 2^62) a tail with any non-square takes the
-generic scan: its residues are computed in Python either way.  Whichever
-path decides that i has a witness, the same generic routine picks the
-lexicographically first pair.
+non-square over the tail residues.  The roots are classified once, before
+the scan.  An outer i falls back to the generic scan for that i alone,
+reducing the tail mod a_i and looking for a residue pair summing to 0 or
+a_i, when a_i is not a square, when its root is not proven free of prime
+factors = 1 mod 4, or when the tail holds at least as many non-squares
+as its length has bits (then residues of the whole tail cost no more).
+On the big-integer path (values past 2^62) a tail with any non-square
+takes the generic scan: its residues are computed in Python either way.
+Whichever path decides that i has a witness, the same generic routine
+picks the lexicographically first pair.
 """
 from __future__ import annotations
 
@@ -45,7 +43,7 @@ import numpy as np
 from .construct import enumerate_s
 from .counting import require_s_fits
 from .errors import ResourceError, require_int
-from .primes import IS_PRIME_EXACT_BELOW, is_prime
+from .primes import IS_PRIME_EXACT_BELOW, is_prime, primes_upto
 from .seqfile import validate_sequence
 
 # Largest n with C(n,3) <= 5e9 logical triples; beyond it require force=True.
@@ -119,15 +117,36 @@ def _prime_factors(n: int, bound: int):
 _LATTICE_TRIAL_BOUND = math.isqrt(math.isqrt(_NUMPY_VALUE_CEILING))
 
 
-def _lattice_root(r: int, bound: int) -> bool:
-    """Does r provably have no prime factor = 1 mod 4, by trial division
-    up to min(bound, isqrt(2^31))?  A last cofactor past 3.3e24 is only a
-    probable prime, so it does not count as proof."""
-    try:
-        factors = _prime_factors(r, min(bound, _LATTICE_TRIAL_BOUND))
-        return all(p % 4 != 1 and p < IS_PRIME_EXACT_BELOW for p in factors)
-    except ResourceError:
-        return False
+def _lattice_roots(roots: np.ndarray) -> list[bool]:
+    """Does each ascending root provably have no prime factor = 1 mod 4?
+    Each prime p up to min(isqrt(max root), isqrt(2^31)) is divided out of
+    the roots in play; a root leaves play once its cofactor is below p^2
+    (then 1 or a prime).  A cofactor past bound^2 counts only if is_prime
+    proves it prime (below 3.3e24)."""
+    cof = roots.copy()
+    at = np.arange(len(cof))  # positions of the roots still in play
+    done = np.empty_like(cof)  # cofactors of the roots out of play
+    proven = np.ones(len(cof), dtype=bool)
+    bound = min(math.isqrt(int(cof[-1])), _LATTICE_TRIAL_BOUND)
+    for p in primes_upto(bound).tolist():
+        out = cof < p * p
+        if out.any():
+            done[at[out]] = cof[out]
+            at, cof = at[~out], cof[~out]
+            if not at.size:
+                break
+        hit = np.flatnonzero(cof % p == 0)
+        if p % 4 == 1:
+            proven[at[hit]] = False
+        while hit.size:  # p^2 | r matters: divide p out to its full power
+            cof[hit] //= p
+            hit = hit[cof[hit] % p == 0]
+    done[at] = cof
+    proven &= (done == 1) | (done % 4 != 1)
+    for t in np.flatnonzero(proven & (done > bound * bound)).tolist():
+        c = int(done[t])
+        proven[t] = c < IS_PRIME_EXACT_BELOW and is_prime(c)
+    return proven.tolist()
 
 
 def _first_pair(res, ai: int) -> Optional[tuple[int, int]]:
@@ -166,65 +185,43 @@ def _non_square_pair_exists(res: np.ndarray, ns: np.ndarray, ai: int) -> bool:
     return False
 
 
-def _two_multiples(r: int, roots: list[int], after: int, root_set: set,
-                   roots_np: Optional[np.ndarray]) -> bool:
-    """Are at least two of the square roots roots[after:] multiples of r?"""
-    top = roots[-1]
-    if top // r <= len(roots) - after:
+def _two_multiples(r: int, after: int, root_set: set, roots_np: np.ndarray) -> bool:
+    """Are at least two of the square roots roots_np[after:] multiples of r?"""
+    top = int(roots_np[-1])
+    if top // r <= len(roots_np) - after:
         # c*r with c >= 2 exceeds r, so its square lies past a_i = r^2
         hits = (c for c in range(2 * r, top + 1, r) if c in root_set)
-    elif roots_np is not None:
-        return int(np.count_nonzero(roots_np[after:] % r == 0)) >= 2
-    else:
-        hits = (x for x in islice(roots, after, None) if x % r == 0)
-    return next(islice(hits, 1, None), None) is not None
-
-
-def _root_index(a: list[int], square: list[bool], a_np):
-    """The square roots in order, as a list, a set and (int64 path) an
-    array, and the positions of the non-squares as an array."""
-    roots = [math.isqrt(v) for v, sq in zip(a, square) if sq]
-    if a_np is None:  # the lattice takes no int64 path
-        return roots, set(roots), None, None
-    non_squares = [t for t, sq in enumerate(square) if not sq]
-    return (roots, set(roots), np.asarray(roots, dtype=np.int64),
-            np.asarray(non_squares, dtype=np.int64))
+        return next(islice(hits, 1, None), None) is not None
+    return int(np.count_nonzero(roots_np[after:] % r == 0)) >= 2
 
 
 def _scan(a: list[int]) -> Optional[tuple[int, int, int]]:
     """Lexicographically first witness (i, j, k), or None."""
     n = len(a)
     a_np = np.asarray(a, dtype=np.int64) if a[-1] <= _NUMPY_VALUE_CEILING else None
-    square = None  # per-element flags, built at the first square outer index
-    index = None  # _root_index, built at the first outer index the lattice takes
-    # On a 2-vCPU VM trial division to b cost ~6 us + ~50 ns * b (36 us at
-    # b = 630, roots q q' of class-3 primes in (30k, 46k) that exhaust it);
-    # the generic step it may spare cost ~30 us + ~50 ns per tail element
-    # (int64), so a root that falls back adds ~1/4 (long tail) to ~2/3
-    # (short tail) of a step; in Python residues alone cost ~140 ns each.
+    isqrts = [math.isqrt(v) for v in a]
+    square = [r * r == v for r, v in zip(isqrts, a)]
+    roots = [r for r, sq in zip(isqrts, square) if sq]
+    roots_np = np.array(
+        roots, dtype=np.int64 if roots and roots[-1] < 1 << 63 else object)
+    proven = _lattice_roots(roots_np) if roots else []
+    root_set = set(roots)
+    ns_np = np.flatnonzero(np.logical_not(square))  # non-square positions
     squares_seen = 0
     for i in range(n - 2):
         ai = a[i]
         res = None  # int64 tail residues mod a_i, once a path needs them
         lattice = False
-        root = math.isqrt(ai)
-        if root * root == ai:
-            if square is None:
-                square = [math.isqrt(v) ** 2 == v for v in a]
-                n_squares = sum(square)
+        if square[i]:
             squares_seen += 1
             tail = n - 1 - i
-            tail_ns = tail - (n_squares - squares_seen)
+            tail_ns = tail - (len(roots) - squares_seen)
             # past this many tail non-squares the residues of the whole
             # tail cost no more than the lattice's lookups for them
-            if tail_ns < (tail.bit_length() if a_np is not None else 1):
-                budget = 256 + (tail // 4 if a_np is not None else 2 * tail)
-                lattice = _lattice_root(root, budget)
+            lattice = (proven[squares_seen - 1]
+                       and tail_ns < (tail.bit_length() if a_np is not None else 1))
         if lattice:
-            if index is None:
-                index = _root_index(a, square, a_np)
-            roots, root_set, roots_np, ns_np = index
-            hit = _two_multiples(root, roots, squares_seen, root_set, roots_np)
+            hit = _two_multiples(isqrts[i], squares_seen, root_set, roots_np)
             if not hit and tail_ns:
                 res = a_np[i + 1:] % ai
                 ns_at = i + 1 - squares_seen  # non-squares up to i

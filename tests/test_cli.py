@@ -152,6 +152,11 @@ def test_verify_unreadable_input_is_a_usage_error(tmp_path, capsys):
     path.write_bytes("729\n3969\n9801\u00e9\n".encode("utf-8"))
     code, out, err = run(capsys, "verify", "--input", str(path))
     assert code == 2 and out == "" and err.startswith("error:")
+    # past the interpreter's int/str digit limit int() would raise ValueError
+    path.write_text("729\n3969\n" + "9" * 5000 + "\n")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert f"{path}:3:" in err
 
 
 def test_lemma1(capsys):

@@ -3,6 +3,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from propp import DomainError, ResourceError, SequenceFormatError
@@ -13,12 +14,13 @@ from propp.verify import (
     APPLICABLE_VERIFIED,
     NOT_APPLICABLE,
     _first_pair,
+    _lattice_roots,
     check_lemma1,
     check_property_p,
     check_union_property_p,
 )
 
-from _naive import naive_property_p
+from _naive import factorize, naive_property_p
 
 
 def test_frozen_examples():
@@ -298,8 +300,8 @@ def test_lattice_matches_oracles_beyond_int64(monkeypatch):
 
 
 def test_roots_past_the_trial_budget_fall_back():
-    # products of two class-3 primes near 46k take the whole trial budget;
-    # with short tails the budget runs out and the generic scan decides
+    # products of two class-3 primes near 46k are the costliest roots to
+    # classify: trial division runs on up to their smaller factor
     rng = random.Random(15)
     big = [int(p) for p in class3_upto(46340) if p > 40000]
     for _ in range(20):
@@ -307,6 +309,49 @@ def test_roots_past_the_trial_budget_fall_back():
         if rng.random() < 0.5:
             roots = _plant_shared_multiple(rng, roots)
         _assert_scan_matches(_squares(roots))
+
+
+def _proven_oracle(f, bound):
+    """No prime factor = 1 mod 4, and trial division up to `bound` leaves
+    1 or a single prime that Miller-Rabin proves (below 3.3e24)."""
+    left = [p for p, e in f.items() for _ in range(e) if p > bound]
+    return (all(p % 4 != 1 for p in f) and len(left) <= 1
+            and all(p < IS_PRIME_EXACT_BELOW for p in left))
+
+
+def _assert_lattice_roots(factored):
+    rows = sorted({math.prod(p ** e for p, e in f.items()): f for f in factored}.items())
+    roots = [r for r, _ in rows]
+    arr = np.array(roots, dtype=np.int64 if roots[-1] < 1 << 63 else object)
+    bound = min(math.isqrt(roots[-1]), math.isqrt(1 << 31))
+    assert _lattice_roots(arr) == [_proven_oracle(f, bound) for _, f in rows], rows
+
+
+def test_lattice_roots_match_factorisations():
+    rng = random.Random(16)
+    small = [1, 2, 1 << 20, 9, 25, 63, 75, 441, 507, 3 ** 7 * 7 ** 3]
+    small += [rng.randrange(1, 10 ** 7) for _ in range(400)]
+    _assert_lattice_roots([factorize(r) for r in small])
+    _assert_lattice_roots([{}])
+
+    def prime(n):
+        return factorize(n) == {n: 1}
+
+    # past 2^31 the trial division stops at 46340; primes just below its
+    # square are decided by it, primes just above by Miller-Rabin
+    cap = math.isqrt(1 << 31)
+    below = [next(p for p in range(cap * cap, 0, -1) if p % 4 == c and prime(p))
+             for c in (1, 3)]
+    above = [next(p for p in itertools.count(cap * cap + 1) if p % 4 == c and prime(p))
+             for c in (1, 3)]
+    p1, p2 = [p for p in range(cap + 1, cap + 100) if prime(p)][:2]
+    base = [{}, {2: 62}, {5: 2}, {3: 2}, {3: 2, 7: 1}, {13: 2, 3: 1}, {7: 4, 11: 2},
+            {p1: 1, p2: 1}, {p1: 2}, {(1 << 61) - 1: 1}]  # 2^61 - 1 is prime
+    base += [{p: 1} for p in below + above] + [{3: 1, p: 1} for p in above]
+    _assert_lattice_roots(base)  # int64, max root 2^62
+    big = (1 << 89) - 1  # prime, = 3 mod 4 and past 3.3e24: only probable
+    _assert_lattice_roots(base + [{big: 1}, {3: 1, big: 1}])  # object array
+    _assert_lattice_roots([{**f, 3: f.get(3, 0) + 40} for f in base])  # all >= 2^63
 
 
 def test_union_frontier_1e14():
