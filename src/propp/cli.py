@@ -1,5 +1,9 @@
 """Command-line entry point binding all modules.
 
+`main` opens the report stream once, stdout or `--out` (see `_output`),
+and runs the command inside it; each `cmd_*(args, out)` computes first,
+then writes to `out`.
+
 Exit codes: 0 success (and Property P holds / all bounds pass), 1 on a
 property violation or bound failure, 2 on usage, domain or resource
 errors.  JSON is the stable machine interface; integers beyond 2^53 are
@@ -8,6 +12,7 @@ emitted as decimal strings so consumers never lose precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -47,24 +52,26 @@ def _dump_json(payload: dict, stream) -> None:
     stream.write("\n")
 
 
-def _write(args, emit_fn) -> None:
-    """Emit to stdout or to `--out`.  A regular or new file is written
-    through a temp file beside it, which takes the old file's mode and
-    replaces it only once the report is complete; a device or pipe (such
-    as /dev/null) is written in place."""
-    if not args.out:
-        emit_fn(sys.stdout)
+@contextlib.contextmanager
+def _output(path):
+    """The report stream: stdout, or `--out`.  A regular or new file is
+    written through the temp file `<target>.<pid>.tmp` beside it, which
+    exists while the command runs, takes the old file's mode and replaces
+    it once the command returns, and is removed if the command raises
+    (exit 2); a device or pipe (such as /dev/null) is written in place."""
+    if not path:
+        yield sys.stdout
         return
-    target = os.path.realpath(args.out)
+    target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8") as stream:
-            emit_fn(stream)
+            yield stream
         return
     tmp = f"{target}.{os.getpid()}.tmp"
     stream = open(tmp, "x", encoding="utf-8")
     try:
         with stream:
-            emit_fn(stream)
+            yield stream
         if os.path.exists(target):
             shutil.copymode(target, tmp)
         os.replace(tmp, target)
@@ -115,26 +122,24 @@ def _add_plimits(parser) -> None:
     parser.add_argument("--h-plimit", type=_int_arg, default=constants.DEFAULT_H_PLIMIT)
 
 
-def cmd_sieve(args) -> int:
+def cmd_sieve(args, out) -> int:
     # primes_upto(1) is an empty array, not an error
     limit = require_int("sieve limit", args.limit, 2)
     prime_count = len(primes.primes_upto(limit))
     class3 = primes.class3_upto(limit)
-    def emit(stream):
-        if args.emit == "csv":
-            seqfile.write_sequence(class3, stream)
-        else:
-            _dump_json({
-                "limit": limit,
-                "prime_count": prime_count,
-                "class3_count": len(class3),
-                "class3": class3.tolist(),
-            }, stream)
-    _write(args, emit)
+    if args.emit == "csv":
+        seqfile.write_sequence(class3, out)
+    else:
+        _dump_json({
+            "limit": limit,
+            "prime_count": prime_count,
+            "class3_count": len(class3),
+            "class3": class3.tolist(),
+        }, out)
     return 0
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args, out) -> int:
     if args.all == (args.set_index is not None):
         raise PropPError("exactly one of --set-index and --all is required")
     if args.all:
@@ -146,21 +151,19 @@ def cmd_construct(args) -> int:
                      counting.S_ELEMENT_BYTES)
         elements = construct.enumerate_s_i(args.set_index, args.limit,
                                            exclude_qi=args.exclude_qi)
-    def emit(stream):
-        if args.emit == "json":
-            _dump_json({
-                "limit": args.limit,
-                "exclude_qi": args.exclude_qi,
-                "count": len(elements),
-                "elements": [asdict(e) for e in elements],
-            }, stream)
-        else:
-            seqfile.write_sequence((e.value for e in elements), stream)
-    _write(args, emit)
+    if args.emit == "json":
+        _dump_json({
+            "limit": args.limit,
+            "exclude_qi": args.exclude_qi,
+            "count": len(elements),
+            "elements": [asdict(e) for e in elements],
+        }, out)
+    else:
+        seqfile.write_sequence((e.value for e in elements), out)
     return 0
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args, out) -> int:
     if args.kind == "squares":
         if args.limit is None:
             raise PropPError("--kind squares requires --limit")
@@ -169,42 +172,36 @@ def cmd_baseline(args) -> int:
         if args.x is None:
             raise PropPError("--kind block requires --x")
         values = construct.finite_block(args.x)
-    def emit(stream):
-        if args.emit == "json":
-            _dump_json({"kind": args.kind, "count": len(values),
-                        "values": values}, stream)
-        else:
-            seqfile.write_sequence(values, stream)
-    _write(args, emit)
+    if args.emit == "json":
+        _dump_json({"kind": args.kind, "count": len(values),
+                    "values": values}, out)
+    else:
+        seqfile.write_sequence(values, out)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     values = seqfile.read_sequence(args.input)
     verdict = verify.check_property_p(values, force=args.force)
-    def emit(stream):
-        _dump_json({
-            "holds": verdict.holds,
-            "witness": list(verdict.witness) if verdict.witness else None,
-            "witness_indices": (list(verdict.witness_indices)
-                                if verdict.witness_indices else None),
-            "triples_checked": verdict.triples_checked,
-            "elements": len(values),
-        }, stream)
-    _write(args, emit)
+    _dump_json({
+        "holds": verdict.holds,
+        "witness": list(verdict.witness) if verdict.witness else None,
+        "witness_indices": (list(verdict.witness_indices)
+                            if verdict.witness_indices else None),
+        "triples_checked": verdict.triples_checked,
+        "elements": len(values),
+    }, out)
     return 0 if verdict.holds else 1
 
 
-def cmd_lemma1(args) -> int:
+def cmd_lemma1(args, out) -> int:
     result = verify.check_lemma1(args.n1, args.n2, args.n3)
-    def emit(stream):
-        if args.emit == "json":
-            _dump_json({"outcome": result.outcome, "prime": result.prime}, stream)
-        elif result.prime is None:
-            stream.write(f"{result.outcome}\n")
-        else:
-            stream.write(f"{result.outcome} p={result.prime}\n")
-    _write(args, emit)
+    if args.emit == "json":
+        _dump_json({"outcome": result.outcome, "prime": result.prime}, out)
+    elif result.prime is None:
+        out.write(f"{result.outcome}\n")
+    else:
+        out.write(f"{result.outcome} p={result.prime}\n")
     return 0 if result.outcome != verify.APPLICABLE_VIOLATED else 1
 
 
@@ -212,7 +209,7 @@ def _meng_kwargs(args) -> dict:
     return {"c34_limit": args.plimit, "h_plimit": args.h_plimit}
 
 
-def cmd_pik(args) -> int:
+def cmd_pik(args, out) -> int:
     payload: dict = {"x": args.x, "k": args.k, "mode": args.mode}
     if args.mode in ("exact", "all"):
         payload["exact"] = counting.pi_k_exact(args.x, args.k)
@@ -228,30 +225,28 @@ def cmd_pik(args) -> int:
         payload["landau"] = counting.landau_term(args.x, args.k)
         if payload.get("meng_main"):
             payload["ratio_exact_to_main"] = payload["exact"] / payload["meng_main"]
-    _write(args, lambda stream: _dump_json(payload, stream))
+    _dump_json(payload, out)
     return 0
 
 
 _COMPARE_COLUMNS = ("x", "k", "exact", "landau", "meng_main", "meng_full", "ratio")
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, out) -> int:
     reports = counting.compare(args.x_grid, args.k_set, **_meng_kwargs(args))
-    def emit(stream):
-        if args.emit == "json":
-            _dump_json({"reports": [asdict(r) for r in reports]}, stream)
-        else:
-            stream.write(",".join(_COMPARE_COLUMNS) + "\n")
-            for r in reports:
-                cells = [str(r.x), str(r.k), str(r.exact)]
-                for v in (r.landau, r.meng_main, r.meng_full, r.ratio_exact_to_main):
-                    cells.append("" if v is None else f"{v:.10g}")
-                stream.write(",".join(cells) + "\n")
-    _write(args, emit)
+    if args.emit == "json":
+        _dump_json({"reports": [asdict(r) for r in reports]}, out)
+    else:
+        out.write(",".join(_COMPARE_COLUMNS) + "\n")
+        for r in reports:
+            cells = [str(r.x), str(r.k), str(r.exact)]
+            for v in (r.landau, r.meng_main, r.meng_full, r.ratio_exact_to_main):
+                cells.append("" if v is None else f"{v:.10g}")
+            out.write(",".join(cells) + "\n")
     return 0
 
 
-def cmd_count_s(args) -> int:
+def cmd_count_s(args, out) -> int:
     layers = range(1, construct.max_set_index(args.limit, args.exclude_qi) + 1)
     # the baseline: squares of class-3 primes, pi_1(sqrt(limit);4,3)
     baseline = counting.pi_k_exact(math.isqrt(args.limit), 1)
@@ -262,26 +257,24 @@ def cmd_count_s(args) -> int:
         env = constants.envelope(args.limit)
     except PropPError:
         env = None
-    def emit(stream):
-        if args.emit == "plain":
-            for i, c in per_index.items():
-                stream.write(f"S_{i}: {c}\n")
-            stream.write(f"total: {total}\n")
-            stream.write(f"baseline_squares: {baseline}\n")
-            stream.write(f"envelope: {env}\n")
-        else:
-            _dump_json({
-                "limit": args.limit,
-                "per_index": per_index,
-                "total": total,
-                "baseline_squares": baseline,
-                "envelope": env,
-            }, stream)
-    _write(args, emit)
+    if args.emit == "plain":
+        for i, c in per_index.items():
+            out.write(f"S_{i}: {c}\n")
+        out.write(f"total: {total}\n")
+        out.write(f"baseline_squares: {baseline}\n")
+        out.write(f"envelope: {env}\n")
+    else:
+        _dump_json({
+            "limit": args.limit,
+            "per_index": per_index,
+            "total": total,
+            "baseline_squares": baseline,
+            "envelope": env,
+        }, out)
     return 0
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args, out) -> int:
     # the suite's one sieve fills the prime store; the values below read it warm
     checks = constants.bounds_report(args.plimit, args.h_plimit)
     m_est = constants.mertens_m34(args.plimit)
@@ -291,7 +284,7 @@ def cmd_constants(args) -> int:
     h2 = constants.h_second(1.0 / 3.0, args.h_plimit, "analytic")
     cc = constants.corollary_constant(1.0 / 3.0, c34_limit=args.plimit,
                                       h_plimit=args.h_plimit)
-    payload = {
+    _dump_json({
         "plimit": args.plimit,
         "h_plimit": args.h_plimit,
         "euler_mascheroni": constants.EULER_GAMMA,
@@ -302,34 +295,29 @@ def cmd_constants(args) -> int:
         "corollary_constant": cc,
         "checks": [asdict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
-    }
-    _write(args, lambda stream: _dump_json(payload, stream))
+    }, out)
     return 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args, out) -> int:
     checks = constants.bounds_report(args.plimit, args.h_plimit)
     ok = all(c.passed for c in checks)
-    def emit(stream):
-        if args.emit == "json":
-            _dump_json({"checks": [asdict(c) for c in checks],
-                        "all_passed": ok}, stream)
-        else:
-            for c in checks:
-                status = "PASS" if c.passed else "FAIL"
-                stream.write(f"{status} {c.name}: value={c.value:.6g} "
-                             f"requirement: {c.requirement}\n")
-    _write(args, emit)
+    if args.emit == "json":
+        _dump_json({"checks": [asdict(c) for c in checks], "all_passed": ok}, out)
+    else:
+        for c in checks:
+            status = "PASS" if c.passed else "FAIL"
+            out.write(f"{status} {c.name}: value={c.value:.6g} "
+                      f"requirement: {c.requirement}\n")
     return 0 if ok else 1
 
 
-def cmd_envelope(args) -> int:
-    value = constants.envelope(args.x)
-    _write(args, lambda stream: _dump_json({"x": args.x, "value": value}, stream))
+def cmd_envelope(args, out) -> int:
+    _dump_json({"x": args.x, "value": constants.envelope(args.x)}, out)
     return 0
 
 
-def cmd_theorem_terms(args) -> int:
+def cmd_theorem_terms(args, out) -> int:
     if (args.x is None) == (args.log_x is None):
         raise PropPError("exactly one of --x and --log-x is required")
     if args.x is not None:
@@ -338,7 +326,7 @@ def cmd_theorem_terms(args) -> int:
     else:
         payload = asdict(constants.theorem_terms_from_logs(args.log_x, args.j))
         payload["log_x"] = args.log_x
-    _write(args, lambda stream: _dump_json(payload, stream))
+    _dump_json(payload, out)
     return 0
 
 
@@ -438,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        with _output(args.out) as out:
+            return args.fn(args, out)
     except (PropPError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

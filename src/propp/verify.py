@@ -46,7 +46,10 @@ from .errors import ResourceError, require_int
 from .primes import IS_PRIME_EXACT_BELOW, is_prime, primes_upto
 from .seqfile import validate_sequence
 
-# Largest n with C(n,3) <= 5e9 logical triples; beyond it require force=True.
+# Past this many elements require force=True.  The cap bounds the generic
+# residue scan, whose work grows like n^2: in-process on a 2-vCPU VM the
+# block 10^6, 10^6 + 1, ... (Property P holds, so every index is scanned)
+# took 0.32 s at 3,200 values, 2.6 s at 10,000 and 26 s at 30,000.
 DEFAULT_ELEMENT_CAP = 3108
 
 # int64 residue arithmetic needs a_j + a_k < 2^63
@@ -85,12 +88,18 @@ def _lex_rank(n: int, i: int, j: int, k: int) -> int:
     return rank + (k - j)
 
 
-def _prime_factors(n: int, bound: int):
+# A composite cofactor of n < 10^14 has a divisor <= 10^7, so the cap
+# changes no answer there; dividing up to it took 0.5 s on a 2-vCPU VM.
+_TRIAL_DIVISION_CAP = 10 ** 7
+
+
+def _prime_factors(n: int):
     """Distinct prime factors of n >= 1, ascending, by trial division.
 
-    Trial divisors run up to `bound` and stop once the cofactor m is 1 or
-    passes Miller-Rabin, which proves it prime below 3.3e24.  A composite
-    cofactor with no divisor up to `bound` raises ResourceError.
+    Trial divisors run up to _TRIAL_DIVISION_CAP and stop once the
+    cofactor m is 1 or passes Miller-Rabin, which proves it prime below
+    3.3e24.  A composite cofactor with no divisor up to the cap raises
+    ResourceError.
     """
     m = n
     if m % 2 == 0:
@@ -98,12 +107,12 @@ def _prime_factors(n: int, bound: int):
         m >>= (m & -m).bit_length() - 1
     d = 3
     while m > 1 and not is_prime(m):
-        top = min(bound, math.isqrt(m))
+        top = min(_TRIAL_DIVISION_CAP, math.isqrt(m))
         d = next((t for t in range(d, top + 1, 2) if m % t == 0), 0)
         if not d:
             # a composite m has a divisor <= isqrt(m), so top < isqrt(m)
             raise ResourceError(
-                f"{m} has no prime factor up to {bound}; "
+                f"{m} has no prime factor up to {_TRIAL_DIVISION_CAP}; "
                 "factoring it is beyond the trial-division budget")
         yield d
         while m % d == 0:
@@ -254,8 +263,8 @@ def check_property_p(seq: Sequence[int], *, force: bool = False) -> Verdict:
     n = len(a)
     if n > DEFAULT_ELEMENT_CAP and not force:
         raise ResourceError(
-            f"sequence has {n} elements, cubic-cost cap is {DEFAULT_ELEMENT_CAP}; "
-            "pass force (CLI: --force) to scan anyway")
+            f"sequence has {n} elements, past the residue-scan cap of "
+            f"{DEFAULT_ELEMENT_CAP}; pass force (CLI: --force) to scan anyway")
     if n < 3:
         return Verdict(True, None, None, 0)
     witness_at = _scan(a)
@@ -263,11 +272,6 @@ def check_property_p(seq: Sequence[int], *, force: bool = False) -> Verdict:
         return Verdict(True, None, None, math.comb(n, 3))
     i, j, k = witness_at
     return Verdict(False, (a[i], a[j], a[k]), (i, j, k), _lex_rank(n, i, j, k))
-
-
-# A composite cofactor of n < 10^14 has a divisor <= 10^7, so the cap
-# changes no answer there; dividing up to it took 0.5 s on a 2-vCPU VM.
-_TRIAL_DIVISION_CAP = 10 ** 7
 
 
 def check_lemma1(n1: int, n2: int, n3: int) -> Lemma1Result:
@@ -281,7 +285,7 @@ def check_lemma1(n1: int, n2: int, n3: int) -> Lemma1Result:
     for name, v in (("n1", n1), ("n2", n2), ("n3", n3)):
         require_int(name, v)
     g = math.gcd(n2, n3)
-    for p in _prime_factors(n1, _TRIAL_DIVISION_CAP):
+    for p in _prime_factors(n1):
         if p % 4 == 3 and g % p != 0:
             if (n2 * n2 + n3 * n3) % (n1 * n1) == 0:
                 return Lemma1Result(APPLICABLE_VIOLATED, p)
@@ -294,8 +298,9 @@ def check_union_property_p(limit: int, *, exclude_qi: bool = False) -> Verdict:
 
     Every root of S has only prime factors = 3 mod 4, so each outer index
     takes the divisor lattice and the scan runs in near-linear time: the
-    cubic-cost element cap does not apply.  The memory of materialising S
-    does, and past its budget this raises ResourceError before walking.
+    element cap, which bounds the n^2 generic residue scan, does not
+    apply.  The memory of materialising S does, and past its budget this
+    raises ResourceError before walking.
     """
     require_s_fits(limit, exclude_qi)
     values = [e.value for e in enumerate_s(limit, exclude_qi)]

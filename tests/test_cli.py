@@ -305,6 +305,49 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text() == "3\n7\n11\n19\n23\n"
 
 
+# one cheap run of every subcommand; verify's input has the witness 1 | 2 + 3
+_SMALL_PLIMITS = ["--plimit", "10000", "--h-plimit", "10000"]
+EVERY_COMMAND = [
+    ["sieve", "--limit", "100", "--emit", "json"],
+    ["construct", "--all", "--limit", "1e8"],
+    ["baseline", "--kind", "squares", "--limit", "1000", "--emit", "json"],
+    ["verify", "--input", "{seq}"],
+    ["lemma1", "21", "7", "14"],
+    ["pik", "--x", "1000", "--k", "2", "--mode", "all", *_SMALL_PLIMITS],
+    ["compare", "--x-grid", "100,1000", "--k-set", "1,2", *_SMALL_PLIMITS],
+    ["count-s", "--limit", "1e8", "--emit", "plain"],
+    ["constants", *_SMALL_PLIMITS],
+    ["bounds", *_SMALL_PLIMITS],
+    ["envelope", "--x", "1e6"],
+    ["theorem-terms", "--log-x", "1e5", "--j", "2"],
+]
+
+
+def test_out_matches_stdout_for_every_command(tmp_path, capsys):
+    assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(FUZZ_SPEC)
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n2\n3\n")
+    for argv in EVERY_COMMAND:
+        argv = [str(seq) if a == "{seq}" else a for a in argv]
+        code, printed, _ = run(capsys, *argv)
+        target = tmp_path / f"{argv[0]}.out"
+        code_out, printed_out, _ = run(capsys, *argv, "--out", str(target))
+        assert (code_out, printed_out) == (code, ""), argv
+        assert target.read_text() == printed and printed, argv
+    assert run(capsys, "verify", "--input", str(seq))[0] == 1
+
+
+def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def refuse(limit):
+        raise AssertionError("sieved before opening --out")
+
+    monkeypatch.setattr(primes, "primes_upto", refuse)
+    code, out, err = run(capsys, "sieve", "--limit", "100",
+                         "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert os.listdir(tmp_path) == []
+
+
 def test_sieve_limit_below_two_is_a_usage_error(capsys):
     code, out, err = run(capsys, "sieve", "--limit", "1")
     assert code == 2 and out == ""
