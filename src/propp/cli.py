@@ -18,6 +18,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 
@@ -55,10 +56,12 @@ def _dump_json(payload: dict, stream) -> None:
 @contextlib.contextmanager
 def _output(path):
     """The report stream: stdout, or `--out`.  A regular or new file is
-    written through the temp file `<target>.<pid>.tmp` beside it, which
-    exists while the command runs, takes the old file's mode and replaces
-    it once the command returns, and is removed if the command raises
-    (exit 2); a device or pipe (such as /dev/null) is written in place."""
+    written through a temp file `<target>.<random>.tmp` that `mkstemp`
+    creates beside it, so a file left by a killed run never collides.
+    It exists while the command runs, takes the old file's mode (a new
+    file's is 0666 less the umask) and replaces it once the command
+    returns, and is removed if the command raises (exit 2); a device or
+    pipe (such as /dev/null) is written in place."""
     if not path:
         yield sys.stdout
         return
@@ -67,13 +70,17 @@ def _output(path):
         with open(target, "w", encoding="utf-8") as stream:
             yield stream
         return
-    tmp = f"{target}.{os.getpid()}.tmp"
-    stream = open(tmp, "x", encoding="utf-8")
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(target) + ".",
+                               dir=os.path.dirname(target))
     try:
-        with stream:
+        with open(fd, "w", encoding="utf-8") as stream:
             yield stream
         if os.path.exists(target):
             shutil.copymode(target, tmp)
+        else:
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)
@@ -181,8 +188,8 @@ def cmd_baseline(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    values = seqfile.read_sequence(args.input)
-    verdict = verify.check_property_p(values, force=args.force)
+    values = seqfile.read_sequence(args.input)  # validated as it is parsed
+    verdict = verify.decide_property_p(values, force=args.force)
     _dump_json({
         "holds": verdict.holds,
         "witness": list(verdict.witness) if verdict.witness else None,

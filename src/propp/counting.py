@@ -56,6 +56,21 @@ class CountReport:
     ratio_exact_to_main: Optional[float]
 
 
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for an int n >= 0, exact in Python ints."""
+    c = round(n ** (1 / 3))
+    while c ** 3 > n:
+        c -= 1
+    while (c + 1) ** 3 <= n:
+        c += 1
+    return c
+
+
+# (i, p) pairs that the batch phase of `_class3_counts` holds at once: at
+# 2^13 its temporaries stay below the first phase's peak at x = 10^10
+_BATCH_PAIRS = 1 << 13
+
+
 def _class3_counts(x: int, primes: np.ndarray):
     """pi(v;4,3) for every v = floor(x/m) and every v <= sqrt(x), as a
     vectorised counter; `primes` must hold every prime <= sqrt(x).
@@ -65,6 +80,17 @@ def _class3_counts(x: int, primes: np.ndarray):
     S(v) -= f(p) (S(v // p) - S(p - 1)) for every v >= p^2.  Run on the
     weights 1 and chi_4 it leaves pi(v) and sum_{p<=v} chi_4(p), and
     pi(v;4,3) = (pi(v) - 1 - sum_{p<=v} chi_4(p)) / 2 for v >= 2.
+
+    The small entry v holds S(v) and the big entry i holds S(x // i).
+    The sift runs in two phases.  Primes with p^3 <= x go one at a time
+    in ascending order, each in a few array operations.  The primes
+    above the cube root c = floor(x^(1/3)) then go in one batch: such a
+    p changes no small entry (p^2 > sqrt(x)) and writes only the big
+    entries i <= x // p^2 < p; it reads small entries and the big
+    entries i p >= p > c.  So no batch prime writes an entry that
+    another reads, every update sees S as the first phase left it, and
+    the batch applies in any order: one gather and one
+    `np.subtract.at` over all its (i, p) pairs, _BATCH_PAIRS at a time.
     """
     r = math.isqrt(x)
     small_v = np.arange(r + 1, dtype=np.int64)
@@ -73,10 +99,12 @@ def _class3_counts(x: int, primes: np.ndarray):
     # when v % 4 is 1 or 2 and to 0 otherwise
     chi_sums = [np.isin(v & 3, (1, 2)).astype(np.int64) - 1 for v in (small_v, big_v)]
     sums = [(small_v - 1, big_v - 1), tuple(chi_sums)]
-    for p in primes[: int(np.searchsorted(primes, r, side="right"))].tolist():
+    primes = primes[: int(np.searchsorted(primes, r, side="right"))]
+    cut = int(np.searchsorted(primes, _icbrt(x), side="right"))
+    for p in primes[:cut].tolist():
         top = min(r, x // (p * p))   # entries v = x // i >= p^2
         inner = min(top, r // p)     # i p <= r: x // (i p) is big entry i p
-        outer = x // np.arange((inner + 1) * p, top * p + 1, p, dtype=np.int64)
+        outer = big_v[inner + 1: top + 1] // p  # x // (i p), by scalar division
         sift = small_v[p * p:] // p if p * p <= r else None
         chi = 0 if p == 2 else (1 if p & 3 == 1 else -1)
         for (small, big), f in zip(sums, (1, chi)):
@@ -91,6 +119,26 @@ def _class3_counts(x: int, primes: np.ndarray):
                    out=big[inner + 1: top + 1])
             if sift is not None:
                 update(small[p * p:], small[sift] - before, out=small[p * p:])
+    batch = primes[cut:]
+    tops = x // (batch * batch)      # pairs (i, p) for i = 1..x // p^2
+    ends = np.cumsum(tops)
+    chis = 2 - (batch & 3)           # chi_4(p) = 1, 0, -1 for p % 4 = 1, 2, 3
+    total = int(tops.sum())
+    for start in range(0, total, _BATCH_PAIRS):
+        pair = np.arange(start, min(start + _BATCH_PAIRS, total), dtype=np.int64)
+        at = np.searchsorted(ends, pair, side="right")  # the pair's prime
+        i = pair - ends[at] + tops[at] + 1
+        p = batch[at]
+        ip = i * p
+        inner = np.flatnonzero(ip <= r)
+        outer = np.minimum(big_v[i] // p, r)
+        for (small, big), f in zip(sums, (1, chis[at])):
+            # S(x // (i p)): the big entry i p while i p <= r, else small
+            delta = small[outer]
+            delta[inner] = big[ip[inner]]
+            delta -= small[p - 1]
+            delta *= f
+            np.subtract.at(big, i, delta)
     (small, big), (small_chi, big_chi) = sums
     small_c3 = np.maximum((small - 1 - small_chi) // 2, 0)
     big_c3 = np.maximum((big - 1 - big_chi) // 2, 0)

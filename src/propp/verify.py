@@ -259,7 +259,12 @@ def check_property_p(seq: Sequence[int], *, force: bool = False) -> Verdict:
     Raises SequenceFormatError on malformed input and ResourceError when
     the sequence exceeds DEFAULT_ELEMENT_CAP elements without `force`.
     """
-    a = validate_sequence(seq)
+    return decide_property_p(validate_sequence(seq), force=force)
+
+
+def decide_property_p(a: list[int], *, force: bool = False) -> Verdict:
+    """`check_property_p` for a list that `validate_sequence` already
+    returned, such as `seqfile.read_sequence`'s; it is not checked again."""
     n = len(a)
     if n > DEFAULT_ELEMENT_CAP and not force:
         raise ResourceError(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from propp import primes, seqfile
+from propp import primes, seqfile, verify
 from propp.cli import build_parser, main
 from propp.construct import enumerate_s
 
@@ -119,6 +119,21 @@ def test_failed_command_leaves_out_untouched(tmp_path, capsys, monkeypatch):
     assert existing.stat().st_mode & 0o777 == 0o640  # the mode survives
 
 
+def test_stale_temp_file_does_not_block_out(tmp_path, capsys, monkeypatch):
+    # a run killed mid-write leaves its temp file; a later run whose pid
+    # matches must still write the report
+    monkeypatch.chdir(tmp_path)
+    stale = tmp_path / f"r.txt.{os.getpid()}.tmp"
+    stale.write_text("half a report\n")
+    code, _, _ = run(capsys, "envelope", "--x", "1e6", "--out", "r.txt")
+    assert code == 0 and json.loads((tmp_path / "r.txt").read_text())["x"] == 1000000
+    assert stale.read_text() == "half a report\n"
+    assert sorted(os.listdir(tmp_path)) == ["r.txt", stale.name]
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert (tmp_path / "r.txt").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_out_through_a_link_or_into_a_pipe(tmp_path, capsys):
     # a link is followed, not replaced
     target = tmp_path / "target.txt"
@@ -143,6 +158,27 @@ def test_out_through_a_link_or_into_a_pipe(tmp_path, capsys):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert got == [b"729\n3969\n9801\n"]
     assert sorted(os.listdir(tmp_path)) == ["link.txt", "pipe", "target.txt"]
+
+
+def test_verify_validates_the_input_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return validate(values)
+
+    validate = seqfile.validate_sequence
+    monkeypatch.setattr(seqfile, "validate_sequence", counted)
+    monkeypatch.setattr(verify, "validate_sequence", counted)
+    path = tmp_path / "s.txt"
+    path.write_text("729\n3969\n9801\n")
+    code, _, _ = run(capsys, "verify", "--input", str(path))
+    assert code == 0 and calls == [3]
+    # a malformed file keeps its path prefix and exits 2
+    path.write_text("3\n7\n5\n")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: entries must be strictly ascending: entry 3 is 5 after 7\n"
 
 
 def test_verify_unreadable_input_is_a_usage_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import propp
-from propp import DomainError, ResourceError
+from propp import DomainError, ResourceError, counting
 from propp.counting import (
     _class3_counts,
+    _icbrt,
     CountReport,
     compare,
     corollary_lower_bound,
@@ -91,6 +93,9 @@ def test_pi_k_guards():
         pi_k_exact(100, 0)
 
 
+_PINS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench", "pins.json")
+
 # ru_maxrss survives fork and exec: a child started straight from the test
 # process reports that process's peak, so a small launcher starts it instead
 _LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
@@ -128,6 +133,96 @@ def test_class3_table_matches_the_store():
     sympy.sieve.extend(max(xs))  # primerange then reads sympy's sieve
     class3 = [p for p in sympy.primerange(2, max(xs) + 1) if p % 4 == 3]
     assert counts == [bisect.bisect_right(class3, x) for x in xs]
+
+
+def _per_prime_class3_counts(x, primes):
+    """`_class3_counts` as it was before the batch phase: every prime
+    p <= sqrt(x) sifts the tables on its own, in ascending order."""
+    r = math.isqrt(x)
+    small_v = np.arange(r + 1, dtype=np.int64)
+    big_v = x // np.maximum(small_v, 1)  # entry i >= 1 holds v = x // i
+    # S at the start: v - 1 for the weight 1; chi_4 sums to 1 over 1..v
+    # when v % 4 is 1 or 2 and to 0 otherwise
+    chi_sums = [np.isin(v & 3, (1, 2)).astype(np.int64) - 1 for v in (small_v, big_v)]
+    sums = [(small_v - 1, big_v - 1), tuple(chi_sums)]
+    for p in primes[: int(np.searchsorted(primes, r, side="right"))].tolist():
+        top = min(r, x // (p * p))   # entries v = x // i >= p^2
+        inner = min(top, r // p)     # i p <= r: x // (i p) is big entry i p
+        outer = x // np.arange((inner + 1) * p, top * p + 1, p, dtype=np.int64)
+        sift = small_v[p * p:] // p if p * p <= r else None
+        chi = 0 if p == 2 else (1 if p & 3 == 1 else -1)
+        for (small, big), f in zip(sums, (1, chi)):
+            if not f:
+                continue
+            update = np.subtract if f > 0 else np.add
+            before = small[p - 1]
+            # every read sees S before this prime: big first, then small
+            update(big[1: inner + 1], big[p: inner * p + 1: p] - before,
+                   out=big[1: inner + 1])
+            update(big[inner + 1: top + 1], small[outer] - before,
+                   out=big[inner + 1: top + 1])
+            if sift is not None:
+                update(small[p * p:], small[sift] - before, out=small[p * p:])
+    (small, big), (small_chi, big_chi) = sums
+    small_c3 = np.maximum((small - 1 - small_chi) // 2, 0)
+    big_c3 = np.maximum((big - 1 - big_chi) // 2, 0)
+
+    def count(v):
+        v = np.asarray(v, dtype=np.int64)
+        return np.where(v <= r, small_c3[np.minimum(v, r)],
+                        big_c3[x // np.maximum(v, r + 1)])
+    return count
+
+
+def _tables(count, x):
+    """Every entry of a counter's tables: v <= sqrt(x), then x // m."""
+    r = math.isqrt(x)
+    return count(np.arange(r + 1)), count(x // np.arange(1, r + 1))
+
+
+def _assert_tables_match(xs):
+    primes = primes_upto(math.isqrt(max(xs)))
+    for x in xs:
+        got = _tables(_class3_counts(x, primes), x)
+        want = _tables(_per_prime_class3_counts(x, primes), x)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), x
+
+
+def test_class3_table_matches_the_per_prime_sift():
+    # the batch phase starts at the first prime past floor(x^(1/3))
+    cubes = [p ** 3 + d for p in (3, 101, 1009, 2153) for d in (-1, 0, 1)]
+    rng = random.Random(11)
+    _assert_tables_match(list(range(1, 3001)) + cubes
+                         + [rng.randrange(10 ** 9, 10 ** 10) for _ in range(3)])
+    assert [_icbrt(p ** 3 + d) for p in (3, 2153) for d in (-1, 0, 1)] == \
+        [2, 3, 3, 2152, 2153, 2153]
+    # past 2.09e6, p^3 no longer fits int64; the cut is taken in Python ints
+    assert _icbrt(2 ** 63 - 1) == 2_097_151 and _icbrt(10 ** 30) == 10 ** 10
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_class3_batch_chunk_edges(chunk, monkeypatch):
+    # chunk edges fall inside one prime's pairs (i, p), i = 1..x // p^2
+    monkeypatch.setattr(counting, "_BATCH_PAIRS", chunk)
+    _assert_tables_match(list(range(1, 400)) + [101 ** 3 - 1, 101 ** 3, 101 ** 3 + 1,
+                                                10 ** 7 + 1])
+
+
+def test_pi_k_matches_bench_pins_at_1e10():
+    # pins.json comes from perfbench/oracle.py, which does not use propp
+    with open(_PINS, encoding="utf-8") as fh:
+        pins = json.load(fh)["pik"]
+    cases = [(2, 10 ** 9), (3, 10 ** 10), (3, 9_999_999_967), (4, 10 ** 10),
+             (4, 9_999_999_967)]
+    counts, limit = _cold(
+        "import json\n"
+        "from propp.counting import pi_k_exact\n"
+        "from propp.primes import sieved_limit\n"
+        f"print(json.dumps([[pi_k_exact(x, k) for k, x in {cases}], sieved_limit()]))")
+    # the store stayed below every leaf budget (10^10 // 231 for k = 4), so
+    # every count came from a table
+    assert limit < 10 ** 10 // 231
+    assert counts == [pins[f"{k}:{x}"] for k, x in cases]
 
 
 def test_pi_k_both_paths_agree():
@@ -171,9 +266,7 @@ def test_sieve_csv_at_1e8_cold(tmp_path):
         "from propp.cli import main\n"
         f"code = main(['sieve', '--limit', '1e8', '--emit', 'csv', '--out', {str(out)!r}])\n"
         "print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
-    pins = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "pins.json")
-    with open(pins, encoding="utf-8") as fh:
+    with open(_PINS, encoding="utf-8") as fh:
         expected = json.load(fh)["sieve_csv"]["sha256"]
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
