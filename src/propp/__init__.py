@@ -35,6 +35,7 @@ from .counting import (
     CountReport,
     compare,
     corollary_lower_bound,
+    count_s,
     count_s_i,
     landau_term,
     meng_estimate,

@@ -153,7 +153,7 @@ def cmd_construct(args, out) -> int:
         counting.require_s_fits(args.limit, args.exclude_qi)
         elements = construct.enumerate_s(args.limit, exclude_qi=args.exclude_qi)
     else:
-        size = counting.layer_size(args.set_index, args.limit, args.exclude_qi)
+        size = counting.count_s_i(args.set_index, args.limit, args.exclude_qi)
         require_fits(f"S_{args.set_index} up to {args.limit}", size,
                      counting.S_ELEMENT_BYTES)
         elements = construct.enumerate_s_i(args.set_index, args.limit,
@@ -254,11 +254,7 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_count_s(args, out) -> int:
-    layers = range(1, construct.max_set_index(args.limit, args.exclude_qi) + 1)
-    # the baseline: squares of class-3 primes, pi_1(sqrt(limit);4,3)
-    baseline = counting.pi_k_exact(math.isqrt(args.limit), 1)
-    per_index = {i: counting.count_s_i(i, args.limit, args.exclude_qi)
-                 for i in layers}
+    baseline, per_index = counting.count_s(args.limit, args.exclude_qi)
     total = sum(per_index.values())
     try:
         env = constants.envelope(args.limit)

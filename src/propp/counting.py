@@ -9,7 +9,7 @@ lookups read the prime store when it already covers them; otherwise a
 Lucy_Hedgehog table of pi(v;4,3) over all v = floor(x/m) answers them
 after sieving only to sqrt(x) (Lagarias-Miller-Odlyzko, Math. Comp. 44,
 1985).  The layers of the set S are counted through it as well
-(`count_s_i`).
+(`count_s_i`, and `count_s` for all of them from one table).
 The asymptotic side evaluates Landau's classical term
 
     x (log log x)^(k-1) / ((k-1)! log x)
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constants
 from .construct import max_set_index, nu_bound
-from .errors import MEMORY_BUDGET, DomainError, ResourceError, require_fits, require_int
+from .errors import DomainError, ResourceError, require_fits, require_int
 from .primes import class3_upto, nth_q, primes_upto, sieved_limit
 
 PI_K_FEASIBILITY_LIMIT = 10 ** 10
@@ -150,41 +150,45 @@ def _class3_counts(x: int, primes: np.ndarray):
     return count
 
 
-def pi_k_exact(x: int, k: int) -> int:
-    """Exact pi_k(x;4,3): pruned enumeration over ascending class-3 primes.
-
-    The last factor is counted, never enumerated: a tuple with product P
-    adds pi(x // P;4,3) minus the primes up to its largest factor.  When
-    the prime store covers the largest such budget, x // (q_1...q_{k-1}),
-    pi(v;4,3) is a binary search in it; otherwise a Lucy_Hedgehog table
-    for x gives it, and nothing is sieved beyond sqrt(x).
-    """
-    require_int("x", x)
-    require_int("k", k)
-    if x > PI_K_FEASIBILITY_LIMIT:
-        raise ResourceError(
-            f"x = {x} exceeds the enumeration feasibility guard {PI_K_FEASIBILITY_LIMIT}")
-    return _pi_k(x, k)
-
-
-def _pi_k(x: int, k: int) -> int:
-    """pi_k_exact past its guard too, where the prime store covers it."""
+def _class3_counter(x: int, k: int):
+    """(class-3 primes, pi(v;4,3) for every v = floor(x/m)) for the walk of
+    pi_k(x;4,3), or None once q_1...q_k > x.  The prime store gives both
+    when it covers the largest leaf budget x // (q_1...q_{k-1}); otherwise
+    a Lucy_Hedgehog table for x does, after sieving to sqrt(x)."""
     smallest: list[int] = []
     for j in range(1, k + 1):
         smallest.append(nth_q(j))
         if math.prod(smallest) > x:  # stops a huge k long before nth_q(k)
-            return 0
-    # every leaf budget divides out at least the k-1 smallest primes
+            return None
     leaves = x // math.prod(smallest[: k - 1])
     if leaves <= sieved_limit():
         arr = class3_upto(leaves)
-        count = lambda v: np.searchsorted(arr, v, side="right")
-    elif x > PI_K_FEASIBILITY_LIMIT:
+        return arr, lambda v: np.searchsorted(arr, v, side="right")
+    if x > PI_K_FEASIBILITY_LIMIT:
         raise ResourceError(f"x = {x} needs a pi(v;4,3) table past the guard")
-    else:
-        root = math.isqrt(x)
-        count = _class3_counts(x, primes_upto(root))
-        arr = class3_upto(root)
+    root = math.isqrt(x)
+    return class3_upto(root), _class3_counts(x, primes_upto(root))
+
+
+def pi_k_exact(x: int, k: int) -> int:
+    """Exact pi_k(x;4,3): pruned enumeration over ascending class-3 primes.
+    The last factor is counted, never enumerated: a tuple with product P
+    adds pi(x // P;4,3) minus the primes up to its largest factor."""
+    require_int("x", x)
+    require_int("k", k)
+    counter = _class3_counter(x, k)
+    if counter and x > PI_K_FEASIBILITY_LIMIT:  # the walk has no cost guard of its own
+        raise ResourceError(
+            f"x = {x} exceeds the enumeration feasibility guard {PI_K_FEASIBILITY_LIMIT}")
+    return _pi_k(x, k, counter)
+
+
+def _pi_k(x: int, k: int, counter) -> int:
+    """pi_k(x;4,3) through `counter`, which must answer every floor(x/m);
+    None, which `_class3_counter` returns once q_1...q_k > x, counts 0."""
+    if counter is None:
+        return 0
+    arr, count = counter
     if k == 1:
         return int(count(x))
     n = len(arr)
@@ -209,30 +213,6 @@ def _pi_k(x: int, k: int) -> int:
     return count_from(0, k, x)
 
 
-def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
-    """|S_i ∩ [1, limit]|, counted without enumerating the layer.
-
-    q_i^4 nu^2 <= limit exactly when nu <= N = nu_bound(i, limit), so the
-    literal layer holds pi_i(N;4,3) elements; past N = 10^10 they are read
-    only from a prime store covering N // (q_1...q_{i-1}).  With
-    `exclude_qi` the nu divisible by q_i come off by inclusion-exclusion
-    on q_i: sum_t (-1)^t pi_{i-t}(N / q_i^t;4,3), with pi_0 = 1.
-    """
-    require_int("set index", i)
-    require_int("limit", limit)
-    n = nu_bound(i, limit)
-    if not exclude_qi:
-        return _pi_k(n, i) if n else 0
-    q = nth_q(i)
-    total, sign = 0, 1
-    for k in range(i, -1, -1):
-        if n < 1:
-            break
-        total += sign * (_pi_k(n, k) if k else 1)
-        sign, n = -sign, n // q
-    return total
-
-
 # Materialised, an element of S costs ~800 bytes at most: the JSON report
 # of `construct --all` peaked at 403 MB for the 483,065 elements below
 # 10^16 (~770 bytes each over the 30 MB interpreter; the plain walk alone
@@ -240,27 +220,53 @@ def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
 S_ELEMENT_BYTES = 800
 
 
-def layer_size(i: int, limit: int, exclude_qi: bool = False) -> int:
-    """|S_i ∩ [1, limit]|, or a lower bound once that alone passes the
-    memory budget.  Past the guard on N = nu_bound, it counts from the
-    store filled to P = N // (q_1...q_{i-1}), as the walk would sieve."""
+def _layer(i: int, n: int, exclude_qi: bool, counter) -> int:
+    """|S_i ∩ [1, limit]|, pi_i(N;4,3) for N = n = nu_bound(i, limit), through
+    a `counter` that answers every floor(n/m).  With `exclude_qi` the nu
+    divisible by q_i come off by inclusion-exclusion on q_i:
+    sum_t (-1)^t pi_{i-t}(N / q_i^t;4,3), with pi_0 = 1."""
+    q = nth_q(i)
+    total, sign = 0, 1
+    for k in range(i, -1, -1) if exclude_qi else (i,):
+        if n < 1:
+            break
+        total += sign * (_pi_k(n, k, counter) if k else 1)
+        sign, n = -sign, n // q
+    return total
+
+
+def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
+    """|S_i ∩ [1, limit]|, counted without enumerating the layer.
+
+    q_i^4 nu^2 <= limit exactly when nu <= N = nu_bound(i, limit).  Past
+    N = 10^10 it is read from the store filled to P = N // (q_1...q_{i-1}),
+    after a ResourceError if the q_1...q_{i-1} p alone pass the budget."""
+    require_int("set index", i)
     require_int("limit", limit)
     n = nu_bound(i, limit)
     if n > PI_K_FEASIBILITY_LIMIT:
         top = n // math.prod(map(nth_q, range(1, i)))
         # q_1...q_{i-1} p is a nu for every class-3 p in (q_{i-1}, P], p != q_i
-        floor = _pi_k(top, 1) - i
-        if floor * S_ELEMENT_BYTES > MEMORY_BUDGET:
-            return floor
+        require_fits(f"S_{i} up to {limit}", _pi_k(top, 1, _class3_counter(top, 1)) - i,
+                     S_ELEMENT_BYTES)
         class3_upto(top)
-    return count_s_i(i, limit, exclude_qi)
+    return _layer(i, n, exclude_qi, _class3_counter(n, i))
+
+
+def count_s(limit: int, exclude_qi: bool = False) -> tuple[int, dict[int, int]]:
+    """(pi_1(sqrt(limit);4,3), {i: |S_i ∩ [1, limit]|}) from one counter for
+    X = isqrt(limit): isqrt(limit // q_i^4) = X // q_i^2, so every budget
+    of every layer's count is some floor(X/m)."""
+    x = math.isqrt(require_int("limit", limit))
+    counter = _class3_counter(x, 1)
+    return _pi_k(x, 1, counter), {i: _layer(i, x // nth_q(i) ** 2, exclude_qi, counter)
+                                  for i in range(1, max_set_index(limit, exclude_qi) + 1)}
 
 
 def require_s_fits(limit: int, exclude_qi: bool = False) -> None:
     """Guard: raise ResourceError, before any layer is walked, when
     materialising S ∩ [1, limit] would pass the memory budget."""
-    layers = range(1, max_set_index(limit, exclude_qi) + 1)
-    total = sum(layer_size(i, limit, exclude_qi) for i in layers)
+    total = sum(count_s(limit, exclude_qi)[1].values())
     require_fits(f"S up to {limit}", total, S_ELEMENT_BYTES)
 
 

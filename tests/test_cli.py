@@ -436,6 +436,8 @@ EXIT_CONTRACT = [
     # q_1 q_2 > 100 settles k = 3,000,000 after two primes
     (["pik", "--x", "100", "--k", "3000000"], 0, '  "exact": 0'),
     (["pik", "--x", "100", "--k", "0"], 2, None),
+    # q_1...q_30 > x: 0 without a table, though x is past the 10^10 guard
+    (["pik", "--x", "10000000001", "--k", "30"], 0, '  "exact": 0'),
     (["envelope", "--x", "10"], 2, None),
     # 38,285,539 elements, counted before any is built: past the budget
     (["construct", "--all", "--limit", "1e20"], 2, None),

@@ -12,6 +12,7 @@ import pytest
 
 import propp
 from propp import DomainError, ResourceError, counting
+from propp.cli import main
 from propp.counting import (
     _class3_counts,
     _icbrt,
@@ -19,9 +20,9 @@ from propp.counting import (
     compare,
     corollary_lower_bound,
     corollary_window,
+    count_s,
     count_s_i,
     landau_term,
-    layer_size,
     meng_estimate,
     meng_neglected_scale,
     pi_k_exact,
@@ -287,22 +288,83 @@ def test_count_s_i_matches_enumeration(exclude_qi):
 
 
 @pytest.mark.parametrize("exclude_qi", [False, True])
-def test_layer_size_counts_past_the_guard(exclude_qi):
+def test_count_s_i_counts_past_the_guard(exclude_qi):
     # N = nu_bound runs from 1.4e10 to 7e14, past the 10^10 guard; the
     # store path counts these layers exactly
     for i, limit in ((8, 10 ** 27), (8, 10 ** 28), (9, 10 ** 33), (10, 10 ** 37),
                      (10, 10 ** 30)):
-        assert layer_size(i, limit, exclude_qi) == \
+        assert count_s_i(i, limit, exclude_qi) == \
             len(enumerate_s_i(i, limit, exclude_qi)), (i, limit)
     for i, limit in ((1, 10 ** 12), (3, 10 ** 16)):
-        assert layer_size(i, limit, exclude_qi) == count_s_i(i, limit, exclude_qi)
-    # q_1...q_4 p for the ~1.1e7 class-3 primes p <= 4.3e8: a lower bound
-    # past the budget, returned without sieving that far
-    assert 10 ** 7 < layer_size(5, 10 ** 30, exclude_qi) < 1.2 * 10 ** 7
+        assert count_s_i(i, limit, exclude_qi) == count_s(limit, exclude_qi)[1][i]
+    # q_1...q_4 p for the ~1.1e7 class-3 primes p <= 4.3e8 pass the budget:
+    # refused without sieving that far
+    raised, limit = _cold(
+        "import json\n"
+        "from propp import ResourceError\n"
+        "from propp.counting import count_s_i\n"
+        "from propp.primes import sieved_limit\n"
+        "try:\n"
+        f"    count_s_i(5, 10 ** 30, {exclude_qi})\n"
+        "    raised = False\n"
+        "except ResourceError:\n"
+        "    raised = True\n"
+        "print(json.dumps([raised, sieved_limit()]))")
+    assert raised and limit < 4.3e8
     with pytest.raises(ResourceError):
-        layer_size(1, 10 ** 30, exclude_qi)  # pi(1.1e14;4,3) is past the guard
+        count_s_i(1, 10 ** 30, exclude_qi)  # pi(1.1e14;4,3) is past the guard
     with pytest.raises(DomainError):
-        layer_size(1, -1, exclude_qi)
+        count_s_i(1, -1, exclude_qi)
+
+
+def test_count_s_i_past_the_guard_pins():
+    # from the store path before count_s_i took it over (N = 5.4e11, 3.3e10);
+    # a cold store shows that count_s_i fills it to P before counting
+    counts = _cold(
+        "import json\n"
+        "from propp.counting import count_s_i\n"
+        "print(json.dumps([count_s_i(i, limit, e) for i, limit in "
+        "((7, 10 ** 30), (6, 10 ** 27)) for e in (False, True)]))")
+    assert counts == [2_577_341, 1_954_193, 2_456_986, 1_846_202]
+
+
+def test_count_s_matches_bench_pins():
+    # pins.json comes from perfbench/oracle.py, which does not use propp
+    with open(_PINS, encoding="utf-8") as fh:
+        pins = json.load(fh)["count_s"]
+    assert len(pins) == 8
+    for key, pin in pins.items():
+        limit, exclude = map(int, key.split(":"))
+        baseline, per_index = count_s(limit, bool(exclude))
+        assert baseline == pin["baseline_squares"], key
+        assert per_index == {int(i): c for i, c in pin["per_index"].items()}, key
+
+
+@pytest.mark.parametrize("exclude_qi, total", [(False, 38_285_539), (True, 37_036_603)])
+def test_count_s_builds_one_table(exclude_qi, total, monkeypatch, capsys):
+    # one pi(v;4,3) table for X = 10^10 answers the baseline and every layer
+    tables = []
+
+    def counted(x, primes):
+        tables.append(x)
+        return _class3_counts(x, primes)
+    monkeypatch.setattr(counting, "_class3_counts", counted)
+    argv = ["count-s", "--limit", "1e20"] + (["--exclude-qi"] if exclude_qi else [])
+    assert main(argv) == 0
+    assert tables == [10 ** 10]
+    assert json.loads(capsys.readouterr().out)["total"] == total
+
+
+@pytest.mark.parametrize("exclude_qi", [False, True])
+def test_count_s_matches_count_s_i(exclude_qi):
+    rng = random.Random(12)
+    for _ in range(25):
+        e = rng.randrange(6, 20)
+        limit = rng.randrange(10 ** e, 10 ** (e + 1))
+        baseline, per_index = count_s(limit, exclude_qi)
+        assert baseline == pi_k_exact(math.isqrt(limit), 1), limit
+        assert per_index == {i: count_s_i(i, limit, exclude_qi)
+                             for i in range(1, max_set_index(limit, exclude_qi) + 1)}, limit
 
 
 def test_count_s_i_guards():
