@@ -119,19 +119,17 @@ def _int_list(text: str) -> list[int]:
 
 
 def _add_plimits(parser) -> None:
-    """--plimit, defaulting to PROPP_PLIMIT when set, and --h-plimit."""
-    env = os.environ.get("PROPP_PLIMIT")
-    try:
-        plimit = int(env) if env else constants.DEFAULT_CONSTANT_PLIMIT
-    except ValueError:
-        raise PropPError(f"PROPP_PLIMIT must be an integer, got {env!r}") from None
-    parser.add_argument("--plimit", type=_int_arg, default=plimit)
+    parser.add_argument("--plimit", type=_int_arg, default=constants.DEFAULT_CONSTANT_PLIMIT)
     parser.add_argument("--h-plimit", type=_int_arg, default=constants.DEFAULT_H_PLIMIT)
 
 
 def cmd_sieve(args, out) -> int:
     # primes_upto(1) is an empty array, not an error
     limit = require_int("sieve limit", args.limit, 2)
+    # ~72 B a listed prime: peak RSS 229 MB at 1e8, 791 MB at 4e8; past the
+    # sieve's cap primes_upto refuses on its own
+    if args.emit == "json" and limit <= primes.MAX_SIEVE_LIMIT:
+        require_fits(f"the class-3 primes up to {limit}", counting.pi_k_exact(limit, 1), 72)
     prime_count = len(primes.primes_upto(limit))
     class3 = primes.class3_upto(limit)
     if args.emit == "csv":
@@ -174,6 +172,9 @@ def cmd_baseline(args, out) -> int:
     if args.kind == "squares":
         if args.limit is None:
             raise PropPError("--kind squares requires --limit")
+        # ~66 B a square: peak RSS 207 MB at 1e16, 579 MB at 1e17
+        root = math.isqrt(require_int("limit", args.limit))
+        require_fits(f"the squares up to {args.limit}", counting.pi_k_exact(root, 1), 66)
         values = construct.baseline_squares(args.limit)
     else:
         if args.x is None:

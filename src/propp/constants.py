@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .construct import window_params_from_logs
-from .errors import DomainError, require_int
+from .errors import DomainError, checked_log, require_int
 from .primes import class3_upto, primes_upto
 
 EULER_GAMMA = 0.5772156649015329
@@ -326,10 +326,7 @@ def envelope(x) -> float:
     Defined once the third iterated log is positive, i.e. x > e^e; the
     error message names the first iterated log that fails.
     """
-    try:
-        lx = math.log(x)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"cannot take log of x = {x!r}") from exc
+    lx = checked_log(x)
     if lx <= 0.0:
         raise DomainError("envelope needs log x > 0 (x > 1)")
     l2 = math.log(lx)
@@ -370,11 +367,7 @@ def theorem_terms_from_logs(log_x: float, j: int) -> TheoremTerms:
 
 def theorem_terms(x, j: int) -> TheoremTerms:
     """Per-layer bound factors at (x, j); x may be an arbitrary-size int."""
-    try:
-        log_x = math.log(x)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"cannot take log of x = {x!r}") from exc
-    return theorem_terms_from_logs(log_x, j)
+    return theorem_terms_from_logs(checked_log(x), j)
 
 
 # ---------------------------------------------------------------------------

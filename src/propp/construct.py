@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_fits, require_int
+from .errors import DomainError, checked_log, require_fits, require_int
 from .primes import class3_upto, nth_q
 
 
@@ -159,8 +159,4 @@ def contribution_window_from_logs(log_x: float) -> tuple[int, int]:
 
 def contribution_window(x) -> tuple[int, int]:
     """Layer index range (k+2, k+l) holding the main contribution at x."""
-    try:
-        log_x = math.log(x)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"cannot take log of x = {x!r}") from exc
-    return contribution_window_from_logs(log_x)
+    return contribution_window_from_logs(checked_log(x))

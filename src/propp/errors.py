@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class PropPError(Exception):
     """Base class for all errors raised by this package."""
@@ -22,6 +24,14 @@ def require_int(name: str, v, minimum: int = 1) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {v!r}")
     return v
+
+
+def checked_log(x) -> float:
+    """math.log(x), with DomainError for x <= 0 or x out of float range."""
+    try:
+        return math.log(x)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"cannot take log of x = {x!r}") from exc
 
 
 # Half of the 8 GB desk machine the project targets.

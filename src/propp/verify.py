@@ -19,23 +19,24 @@ both roots: the scan asks whether two later square roots are multiples
 of r, walking r's multiples through a set of the roots or testing the
 tail roots, whichever is shorter.  A pair touching a non-square a_t
 needs residues: a_k = -a_t (mod a_i) with k != t, one lookup per
-non-square over the tail residues.  The roots are classified once, before
-the scan.  An outer i falls back to the generic scan for that i alone,
-reducing the tail mod a_i and looking for a residue pair summing to 0 or
-a_i, when a_i is not a square, when its root is not proven free of prime
-factors = 1 mod 4, or when the tail holds at least as many non-squares
-as its length has bits (then residues of the whole tail cost no more).
-On the big-integer path (values past 2^62) a tail with any non-square
-takes the generic scan: its residues are computed in Python either way.
-Whichever path decides that i has a witness, the same generic routine
-picks the lexicographically first pair.
+non-square over the tail residues.
+
+Every outer index is planned before the scan: skipped when no multiple
+of a_i lies in [a_{i+1} + a_{i+2}, a_{n-2} + a_{n-1}], where every pair
+sum lies; decided by the lattice when a_i is a square whose root is
+proven free of prime factors = 1 mod 4 and its tail holds fewer
+non-squares than its length has bits (past that, residues of the whole
+tail cost no more); else by reducing the tail mod a_i and looking for a
+residue pair summing to 0 or a_i.  Values past 2^62 take the same path
+as Python ints in an object array.  Whichever path finds a witness for
+i, the same generic routine picks the lexicographically first pair.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,11 +47,10 @@ from .errors import ResourceError, require_int
 from .primes import IS_PRIME_EXACT_BELOW, is_prime, primes_upto
 from .seqfile import validate_sequence
 
-# Past this many elements require force=True.  The cap bounds the generic
-# residue scan, whose work grows like n^2: in-process on a 2-vCPU VM the
-# block 10^6, 10^6 + 1, ... (Property P holds, so every index is scanned)
-# took 0.32 s at 3,200 values, 2.6 s at 10,000 and 26 s at 30,000.
-DEFAULT_ELEMENT_CAP = 3108
+# Without force, a plan may reduce at most this many tail residues: what
+# 3,108 values cost when every outer index reduces its whole tail (the tails
+# n-1-i, i < n-2, sum to C(n, 2) - 1); ~0.35 s of scan on a 2-vCPU VM.
+_RESIDUE_BUDGET = math.comb(3108, 2) - 1
 
 # int64 residue arithmetic needs a_j + a_k < 2^63
 _NUMPY_VALUE_CEILING = 1 << 62
@@ -204,49 +204,53 @@ def _two_multiples(r: int, after: int, root_set: set, roots_np: np.ndarray) -> b
     return int(np.count_nonzero(roots_np[after:] % r == 0)) >= 2
 
 
-def _scan(a: list[int]) -> Optional[tuple[int, int, int]]:
+def _plan(a_np: np.ndarray, roots_np: np.ndarray, square: np.ndarray,
+          ns_upto: np.ndarray, force: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over the outer indices i < n - 2: `live` where a multiple of
+    a_i lies in [a_{i+1} + a_{i+2}, a_{n-2} + a_{n-1}], `lattice` where the
+    lattice decides i.  Without `force` a plan that reduces more than
+    _RESIDUE_BUDGET tail residues raises ResourceError."""
+    head = a_np[:-2]
+    live = (a_np[-2] + a_np[-1]) // head > (a_np[1:-1] + a_np[2:] - 1) // head
+    tail = np.arange(len(a_np) - 1, 1, -1)  # n - 1 - i
+    tail_ns = ns_upto[-1] - ns_upto[:-2]
+    lattice = live & square[:-2] & (tail_ns < np.frexp(tail)[1])  # bit_length
+    at = np.flatnonzero(lattice)
+    if at.size:  # a square at i has i - ns_upto[i] squares before it
+        lattice[at] = _lattice_roots(roots_np[at - ns_upto[at]])
+    price = int(tail[live & ~(lattice & (tail_ns == 0))].sum())
+    if price > _RESIDUE_BUDGET and not force:
+        raise ResourceError(
+            f"the scan would reduce {price} tail residues, past the budget of "
+            f"{_RESIDUE_BUDGET}; pass force (CLI: --force) to scan anyway")
+    return live, lattice
+
+
+def _scan(a: list[int], force: bool) -> Optional[tuple[int, int, int]]:
     """Lexicographically first witness (i, j, k), or None."""
-    n = len(a)
-    a_np = np.asarray(a, dtype=np.int64) if a[-1] <= _NUMPY_VALUE_CEILING else None
+    a_np = np.array(a, dtype=np.int64 if a[-1] <= _NUMPY_VALUE_CEILING else object)
     isqrts = [math.isqrt(v) for v in a]
-    square = [r * r == v for r, v in zip(isqrts, a)]
-    roots = [r for r, sq in zip(isqrts, square) if sq]
-    roots_np = np.array(
-        roots, dtype=np.int64 if roots and roots[-1] < 1 << 63 else object)
-    proven = _lattice_roots(roots_np) if roots else []
-    root_set = set(roots)
-    ns_np = np.flatnonzero(np.logical_not(square))  # non-square positions
-    squares_seen = 0
-    for i in range(n - 2):
+    square = np.array([r * r == v for r, v in zip(isqrts, a)])
+    ns_upto = np.cumsum(~square)  # non-squares at positions <= t
+    roots = list(compress(isqrts, square.tolist()))
+    roots_np = np.array(roots, dtype=np.int64 if roots and roots[-1] < 1 << 63 else object)
+    live, lattice = _plan(a_np, roots_np, square, ns_upto, force)
+    root_set = set(roots) if lattice.any() else set()
+    ns_np = np.flatnonzero(~square)  # non-square positions
+    for i in compress(range(len(a) - 2), live.tolist()):
         ai = a[i]
-        res = None  # int64 tail residues mod a_i, once a path needs them
-        lattice = False
-        if square[i]:
-            squares_seen += 1
-            tail = n - 1 - i
-            tail_ns = tail - (len(roots) - squares_seen)
-            # past this many tail non-squares the residues of the whole
-            # tail cost no more than the lattice's lookups for them
-            lattice = (proven[squares_seen - 1]
-                       and tail_ns < (tail.bit_length() if a_np is not None else 1))
-        if lattice:
-            hit = _two_multiples(isqrts[i], squares_seen, root_set, roots_np)
-            if not hit and tail_ns:
+        res = None  # tail residues mod a_i, once a path needs them
+        if lattice[i]:
+            hit = _two_multiples(isqrts[i], i + 1 - int(ns_upto[i]), root_set, roots_np)
+            if not hit and ns_upto[i] < ns_upto[-1]:
                 res = a_np[i + 1:] % ai
-                ns_at = i + 1 - squares_seen  # non-squares up to i
-                hit = _non_square_pair_exists(res, ns_np[ns_at:] - (i + 1), ai)
-        elif a_np is not None:
+                hit = _non_square_pair_exists(res, ns_np[ns_upto[i]:] - (i + 1), ai)
+        else:
             res = a_np[i + 1:] % ai
             hit = _pair_exists(res, ai)
-        else:
-            hit = True
         if not hit:
             continue
-        if a_np is None:
-            res = [v % ai for v in a[i + 1:]]
-        else:
-            res = (a_np[i + 1:] % ai if res is None else res).tolist()
-        found = _first_pair(res, ai)
+        found = _first_pair((a_np[i + 1:] % ai if res is None else res).tolist(), ai)
         if found is not None:
             j, k = found
             return i, i + 1 + j, i + 1 + k
@@ -256,8 +260,8 @@ def _scan(a: list[int]) -> Optional[tuple[int, int, int]]:
 def check_property_p(seq: Sequence[int], *, force: bool = False) -> Verdict:
     """Decide Property P for a strictly ascending sequence.
 
-    Raises SequenceFormatError on malformed input and ResourceError when
-    the sequence exceeds DEFAULT_ELEMENT_CAP elements without `force`.
+    Raises SequenceFormatError on malformed input, and ResourceError when
+    the scan's plan is past its residue budget unless `force` is given.
     """
     return decide_property_p(validate_sequence(seq), force=force)
 
@@ -266,13 +270,9 @@ def decide_property_p(a: list[int], *, force: bool = False) -> Verdict:
     """`check_property_p` for a list that `validate_sequence` already
     returned, such as `seqfile.read_sequence`'s; it is not checked again."""
     n = len(a)
-    if n > DEFAULT_ELEMENT_CAP and not force:
-        raise ResourceError(
-            f"sequence has {n} elements, past the residue-scan cap of "
-            f"{DEFAULT_ELEMENT_CAP}; pass force (CLI: --force) to scan anyway")
     if n < 3:
         return Verdict(True, None, None, 0)
-    witness_at = _scan(a)
+    witness_at = _scan(a, force)
     if witness_at is None:
         return Verdict(True, None, None, math.comb(n, 3))
     i, j, k = witness_at
@@ -302,11 +302,10 @@ def check_union_property_p(limit: int, *, exclude_qi: bool = False) -> Verdict:
     """Property P on the constructed union up to `limit`.
 
     Every root of S has only prime factors = 3 mod 4, so each outer index
-    takes the divisor lattice and the scan runs in near-linear time: the
-    element cap, which bounds the n^2 generic residue scan, does not
-    apply.  The memory of materialising S does, and past its budget this
-    raises ResourceError before walking.
+    takes the divisor lattice or is skipped, and the scan's plan reduces no
+    residue.  The memory of materialising S is priced instead, and past
+    its budget this raises ResourceError before walking.
     """
     require_s_fits(limit, exclude_qi)
     values = [e.value for e in enumerate_s(limit, exclude_qi)]
-    return check_property_p(values, force=True)
+    return check_property_p(values)

@@ -318,21 +318,6 @@ def test_envelope_and_theorem_terms(capsys):
     assert code == 2
 
 
-def test_plimit_env_var_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PROPP_PLIMIT", "100000")
-    # parser defaults are evaluated at build time, so rebuild through main
-    code, out, _ = run(capsys, "constants", "--h-plimit", "100000")
-    body = json.loads(out)
-    assert code == 0 and body["plimit"] == 100000
-
-
-def test_bad_plimit_env_var_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PROPP_PLIMIT", "abc")
-    code, out, err = run(capsys, "envelope", "--x", "100")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "PROPP_PLIMIT" in err
-
-
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code, out, _ = run(capsys, "sieve", "--limit", "30", "--emit", "csv",
@@ -446,7 +431,11 @@ EXIT_CONTRACT = [
     # x/3 + 1 elements, past the budget long before 1e20
     (["baseline", "--kind", "block", "--x", "1e20"], 2, None),
     (["baseline", "--kind", "block", "--x", "1e30"], 2, None),
-    # only --force lifts the element cap
+    # 101,641,840 class-3 primes at ~72 bytes each, counted before sieving
+    (["sieve", "--limit", "4294967296", "--emit", "json"], 2, None),
+    # 75,939,612 squares at ~66 bytes each, counted the same way
+    (["baseline", "--kind", "squares", "--limit", "1e19"], 2, None),
+    # only --force lifts the residue budget
     (["verify", "--input", "seq.txt", "--cap", "10"], 2, None),
 ]
 

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from propp import DomainError, ResourceError, SequenceFormatError
+from propp import DomainError, ResourceError, SequenceFormatError, verify
 from propp.cli import main as cli_main
 from propp.construct import enumerate_s
 from propp.primes import IS_PRIME_EXACT_BELOW, class3_upto, is_prime, primes_upto
@@ -95,7 +95,8 @@ def test_threaded_scan_deterministic(tmp_path):
 
 
 def test_cap_and_force():
-    violating = list(range(1, 3201))
+    # [1, 2, 3] and 3,997 random values: the plan prices 7,114,215 residues
+    violating = [1, 2, 3] + sorted(random.Random(17).sample(range(10 ** 6, 10 ** 9), 3997))
     with pytest.raises(ResourceError):
         check_property_p(violating)
     v = check_property_p(violating, force=True)
@@ -105,6 +106,58 @@ def test_cap_and_force():
     holding = list(range(10 ** 6, 10 ** 6 + 3200))
     v = check_property_p(holding, force=True)
     assert v.holds and v.triples_checked == math.comb(3200, 3)
+
+
+def _generic_values(n):
+    """n - 2 consecutive non-squares from 10^6, then two values near 10^15
+    whose sum the last of them divides: no outer index is skipped or takes
+    the lattice, so the plan prices every tail, C(n, 2) - 1 residues."""
+    head = [v for v in range(10 ** 6, 10 ** 6 + 2 * n) if math.isqrt(v) ** 2 != v][:n - 2]
+    big = 10 ** 15
+    assert (-2 * big) % head[-1]
+    return head + [big, big + (-2 * big) % head[-1]]
+
+
+def test_residue_budget_boundary():
+    check_property_p(_generic_values(3108))
+    with pytest.raises(ResourceError, match=str(math.comb(3109, 2) - 1)):
+        check_property_p(_generic_values(3109))
+    assert not check_property_p(_generic_values(3109), force=True).holds
+
+
+def test_inputs_priced_below_the_budget_run_without_force(tmp_path, capsys):
+    s_path = tmp_path / "s.txt"
+    assert cli_main(["construct", "--all", "--limit", "1e12", "--out", str(s_path)]) == 0
+    squares = [int(q) ** 2 for q in class3_upto(10 ** 5)[:4000]]
+    block = range(10 ** 6, 10 ** 6 + 30001)
+    for name, values in (("squares", squares), ("block", block)):
+        (tmp_path / f"{name}.txt").write_text("".join(f"{v}\n" for v in values))
+    for name, n in (("s", 6620), ("squares", 4000), ("block", 30001)):
+        start = time.perf_counter()
+        assert cli_main(["verify", "--input", str(tmp_path / f"{name}.txt")]) == 0, name
+        assert time.perf_counter() - start < 1.0, name
+        assert f'"elements": {n}' in capsys.readouterr().out
+
+
+def test_big_integer_residues_take_the_array_path(monkeypatch):
+    dtypes = []
+    pair_exists = verify._pair_exists
+    monkeypatch.setattr("propp.verify._pair_exists",
+                        lambda res, ai: dtypes.append(res.dtype) or pair_exists(res, ai))
+    rng = random.Random(15)
+    outcomes = set()
+    for t in range(80):
+        seq = {rng.randrange(1 << 62, 1 << 90) for _ in range(rng.randint(3, 40))}
+        if t % 2:  # plant a_i | a_j + a_k
+            ai = rng.choice(sorted(seq))
+            aj = rng.randrange(ai + 1, 1 << 90)
+            seq |= {aj, (2 * aj // ai + rng.randint(2, 9)) * ai - aj}
+        if t % 3 == 0:  # squares among the non-squares
+            seq |= {rng.randrange(1 << 31, 1 << 45) ** 2 for _ in range(rng.randint(1, 20))}
+        seq = sorted(seq)
+        assert seq[-1] > 1 << 62
+        outcomes.add(_assert_scan_matches(seq))
+    assert outcomes == {True, False} and np.dtype(object) in dtypes
 
 
 def test_format_errors():
