@@ -147,15 +147,8 @@ def cmd_sieve(args, out) -> int:
 def cmd_construct(args, out) -> int:
     if args.all == (args.set_index is not None):
         raise PropPError("exactly one of --set-index and --all is required")
-    if args.all:
-        counting.require_s_fits(args.limit, args.exclude_qi)
-        elements = construct.enumerate_s(args.limit, exclude_qi=args.exclude_qi)
-    else:
-        size = counting.count_s_i(args.set_index, args.limit, args.exclude_qi)
-        require_fits(f"S_{args.set_index} up to {args.limit}", size,
-                     counting.S_ELEMENT_BYTES)
-        elements = construct.enumerate_s_i(args.set_index, args.limit,
-                                           exclude_qi=args.exclude_qi)
+    elements = (construct.enumerate_s(args.limit, args.exclude_qi) if args.all else
+                construct.enumerate_s_i(args.set_index, args.limit, args.exclude_qi))
     if args.emit == "json":
         _dump_json({
             "limit": args.limit,
@@ -172,9 +165,6 @@ def cmd_baseline(args, out) -> int:
     if args.kind == "squares":
         if args.limit is None:
             raise PropPError("--kind squares requires --limit")
-        # ~66 B a square: peak RSS 207 MB at 1e16, 579 MB at 1e17
-        root = math.isqrt(require_int("limit", args.limit))
-        require_fits(f"the squares up to {args.limit}", counting.pi_k_exact(root, 1), 66)
         values = construct.baseline_squares(args.limit)
     else:
         if args.x is None:

@@ -33,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 
-from .construct import window_params_from_logs
 from .errors import DomainError, checked_log, require_int
 from .primes import class3_upto, primes_upto
 
@@ -340,6 +339,29 @@ def envelope(x) -> float:
         return math.exp(log_value)
     except OverflowError:
         return math.inf
+
+
+def window_params_from_logs(log_x: float) -> tuple[int, int]:
+    """(k, l) of the contributing range, from the natural log of x.
+
+    k = floor(log_2(sqrt x) / 2) and l = floor(sqrt(log_2(sqrt x) / 2)),
+    where log_2 is the twice-iterated logarithm.  Both must reach 2 for
+    the window to contain anything; this needs log_2(sqrt x) >= 8, i.e.
+    x >= e^(2 e^8), so admissible x never fit in a double.  Integer x of
+    a few thousand digits work fine (math.log takes big ints), and this
+    log-domain entry point covers the rest.
+    """
+    if not math.isfinite(log_x) or log_x <= 2.0:
+        raise DomainError(
+            f"window needs log log sqrt(x) defined, i.e. log x > 2; got log x = {log_x}")
+    half_llsx = math.log(log_x / 2.0) / 2.0
+    k = math.floor(half_llsx)
+    l = math.floor(math.sqrt(half_llsx))
+    if k < 2 or l < 2:
+        raise DomainError(
+            "window requires (log_2 sqrt(x))/2 >= 4 so that k >= 2 and l >= 2; "
+            f"got {half_llsx:.4f}")
+    return k, l
 
 
 def theorem_terms_from_logs(log_x: float, j: int) -> TheoremTerms:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, checked_log, require_fits, require_int
+from .constants import window_params_from_logs
+from .counting import S_ELEMENT_BYTES, count_s, count_s_i, nu_bound, pi_k_exact
+from .errors import checked_log, require_fits, require_int
 from .primes import class3_upto, nth_q
 
 
@@ -54,15 +56,17 @@ def max_set_index(limit: int, exclude_qi: bool = False) -> int:
     return i
 
 
-def nu_bound(i: int, limit: int) -> int:
-    """Largest nu with q_i^4 * nu^2 <= limit; 0 when q_i^4 > limit."""
-    return math.isqrt(limit // nth_q(i) ** 4)
-
-
 def enumerate_s_i(i: int, limit: int, exclude_qi: bool = False) -> list[SetElement]:
-    """All elements of S_i up to `limit`, ascending by value."""
+    """All elements of S_i up to `limit`, ascending by value; counted first,
+    so past the memory budget ResourceError comes before the walk."""
     require_int("set index", i)
     require_int("limit", limit)
+    require_fits(f"S_{i} up to {limit}", count_s_i(i, limit, exclude_qi), S_ELEMENT_BYTES)
+    return _walk_layer(i, limit, exclude_qi)
+
+
+def _walk_layer(i: int, limit: int, exclude_qi: bool) -> list[SetElement]:
+    """`enumerate_s_i` once the layer is counted."""
     q = nth_q(i)
     q4 = q ** 4
     nu_max = nu_bound(i, limit)
@@ -96,11 +100,13 @@ def enumerate_s_i(i: int, limit: int, exclude_qi: bool = False) -> list[SetEleme
 
 
 def enumerate_s(limit: int, exclude_qi: bool = False) -> list[SetElement]:
-    """The union of all layers up to `limit`, ascending, duplicate-free."""
-    require_int("limit", limit)
+    """The union of all layers up to `limit`, ascending, duplicate-free;
+    counted first, so past the memory budget ResourceError comes first."""
+    layers = count_s(limit, exclude_qi)[1]
+    require_fits(f"S up to {limit}", sum(layers.values()), S_ELEMENT_BYTES)
     merged: list[SetElement] = []
-    for i in range(1, max_set_index(limit, exclude_qi) + 1):
-        merged.extend(enumerate_s_i(i, limit, exclude_qi))
+    for i in layers:
+        merged.extend(_walk_layer(i, limit, exclude_qi))
     merged.sort(key=lambda e: e.value)
     for a, b in zip(merged, merged[1:]):
         if a.value == b.value:
@@ -111,9 +117,12 @@ def enumerate_s(limit: int, exclude_qi: bool = False) -> list[SetElement]:
 
 
 def baseline_squares(limit: int) -> list[int]:
-    """The classical baseline {q_i^2 <= limit}."""
-    require_int("limit", limit)
-    return [int(q) ** 2 for q in class3_upto(math.isqrt(limit))]
+    """The classical baseline {q_i^2 <= limit}; counted first, so past the
+    memory budget ResourceError comes before the list."""
+    root = math.isqrt(require_int("limit", limit))
+    # ~66 B a square: peak RSS 207 MB at 1e16, 579 MB at 1e17
+    require_fits(f"the squares up to {limit}", pi_k_exact(root, 1), 66)
+    return [int(q) ** 2 for q in class3_upto(root)]
 
 
 # `baseline --kind block --x 3e7 --emit json` peaked at 489 MB for its 10^7
@@ -126,29 +135,6 @@ def finite_block(x: int) -> list[int]:
     require_int("x", x)
     require_fits(f"the block at x = {x}", x // 3 + 1, _BLOCK_ELEMENT_BYTES)
     return list(range(x - x // 3, x + 1))
-
-
-def window_params_from_logs(log_x: float) -> tuple[int, int]:
-    """(k, l) of the contributing range, from the natural log of x.
-
-    k = floor(log_2(sqrt x) / 2) and l = floor(sqrt(log_2(sqrt x) / 2)),
-    where log_2 is the twice-iterated logarithm.  Both must reach 2 for
-    the window to contain anything; this needs log_2(sqrt x) >= 8, i.e.
-    x >= e^(2 e^8), so admissible x never fit in a double.  Integer x of
-    a few thousand digits work fine (math.log takes big ints), and this
-    log-domain entry point covers the rest.
-    """
-    if not math.isfinite(log_x) or log_x <= 2.0:
-        raise DomainError(
-            f"window needs log log sqrt(x) defined, i.e. log x > 2; got log x = {log_x}")
-    half_llsx = math.log(log_x / 2.0) / 2.0
-    k = math.floor(half_llsx)
-    l = math.floor(math.sqrt(half_llsx))
-    if k < 2 or l < 2:
-        raise DomainError(
-            "window requires (log_2 sqrt(x))/2 >= 4 so that k >= 2 and l >= 2; "
-            f"got {half_llsx:.4f}")
-    return k, l
 
 
 def contribution_window_from_logs(log_x: float) -> tuple[int, int]:

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import constants
-from .construct import max_set_index, nu_bound
 from .errors import DomainError, ResourceError, require_fits, require_int
 from .primes import class3_upto, nth_q, primes_upto, sieved_limit
 
@@ -220,6 +219,11 @@ def _pi_k(x: int, k: int, counter) -> int:
 S_ELEMENT_BYTES = 800
 
 
+def nu_bound(i: int, limit: int) -> int:
+    """Largest nu with q_i^4 * nu^2 <= limit; 0 when q_i^4 > limit."""
+    return math.isqrt(limit // nth_q(i) ** 4)
+
+
 def _layer(i: int, n: int, exclude_qi: bool, counter) -> int:
     """|S_i ∩ [1, limit]|, pi_i(N;4,3) for N = n = nu_bound(i, limit), through
     a `counter` that answers every floor(n/m).  With `exclude_qi` the nu
@@ -256,18 +260,14 @@ def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
 def count_s(limit: int, exclude_qi: bool = False) -> tuple[int, dict[int, int]]:
     """(pi_1(sqrt(limit);4,3), {i: |S_i ∩ [1, limit]|}) from one counter for
     X = isqrt(limit): isqrt(limit // q_i^4) = X // q_i^2, so every budget
-    of every layer's count is some floor(X/m)."""
+    of every layer's count is some floor(X/m).  Each layer's least element
+    exceeds the one before it, so the layers end at the first empty one."""
     x = math.isqrt(require_int("limit", limit))
     counter = _class3_counter(x, 1)
-    return _pi_k(x, 1, counter), {i: _layer(i, x // nth_q(i) ** 2, exclude_qi, counter)
-                                  for i in range(1, max_set_index(limit, exclude_qi) + 1)}
-
-
-def require_s_fits(limit: int, exclude_qi: bool = False) -> None:
-    """Guard: raise ResourceError, before any layer is walked, when
-    materialising S ∩ [1, limit] would pass the memory budget."""
-    total = sum(count_s(limit, exclude_qi)[1].values())
-    require_fits(f"S up to {limit}", total, S_ELEMENT_BYTES)
+    per_index, i = {}, 1
+    while size := _layer(i, x // nth_q(i) ** 2, exclude_qi, counter):
+        per_index[i], i = size, i + 1
+    return _pi_k(x, 1, counter), per_index
 
 
 def landau_term(x, k: int) -> float:

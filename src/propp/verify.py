@@ -42,7 +42,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .construct import enumerate_s
-from .counting import require_s_fits
 from .errors import ResourceError, require_int
 from .primes import IS_PRIME_EXACT_BELOW, is_prime, primes_upto
 from .seqfile import validate_sequence
@@ -51,6 +50,9 @@ from .seqfile import validate_sequence
 # 3,108 values cost when every outer index reduces its whole tail (the tails
 # n-1-i, i < n-2, sum to C(n, 2) - 1); ~0.35 s of scan on a 2-vCPU VM.
 _RESIDUE_BUDGET = math.comb(3108, 2) - 1
+# A residue past 2^62 (object array), priced in int64 ones: on the same VM, with
+# force, 2,000 random values: 708-880 ns a residue in [2^70, 2^80), 56-76 in [1e15, 1e16).
+_BIG_RESIDUE_WEIGHT = 11
 
 # int64 residue arithmetic needs a_j + a_k < 2^63
 _NUMPY_VALUE_CEILING = 1 << 62
@@ -208,8 +210,8 @@ def _plan(a_np: np.ndarray, roots_np: np.ndarray, square: np.ndarray,
           ns_upto: np.ndarray, force: bool) -> tuple[np.ndarray, np.ndarray]:
     """Masks over the outer indices i < n - 2: `live` where a multiple of
     a_i lies in [a_{i+1} + a_{i+2}, a_{n-2} + a_{n-1}], `lattice` where the
-    lattice decides i.  Without `force` a plan that reduces more than
-    _RESIDUE_BUDGET tail residues raises ResourceError."""
+    lattice decides i.  Without `force` a plan past _RESIDUE_BUDGET tail
+    residues, _BIG_RESIDUE_WEIGHT each in an object array, raises ResourceError."""
     head = a_np[:-2]
     live = (a_np[-2] + a_np[-1]) // head > (a_np[1:-1] + a_np[2:] - 1) // head
     tail = np.arange(len(a_np) - 1, 1, -1)  # n - 1 - i
@@ -218,10 +220,11 @@ def _plan(a_np: np.ndarray, roots_np: np.ndarray, square: np.ndarray,
     at = np.flatnonzero(lattice)
     if at.size:  # a square at i has i - ns_upto[i] squares before it
         lattice[at] = _lattice_roots(roots_np[at - ns_upto[at]])
-    price = int(tail[live & ~(lattice & (tail_ns == 0))].sum())
+    weight = _BIG_RESIDUE_WEIGHT if a_np.dtype == object else 1
+    price = weight * int(tail[live & ~(lattice & (tail_ns == 0))].sum())
     if price > _RESIDUE_BUDGET and not force:
         raise ResourceError(
-            f"the scan would reduce {price} tail residues, past the budget of "
+            f"the scan's tail residues are priced at {price}, past the budget of "
             f"{_RESIDUE_BUDGET}; pass force (CLI: --force) to scan anyway")
     return live, lattice
 
@@ -303,9 +306,7 @@ def check_union_property_p(limit: int, *, exclude_qi: bool = False) -> Verdict:
 
     Every root of S has only prime factors = 3 mod 4, so each outer index
     takes the divisor lattice or is skipped, and the scan's plan reduces no
-    residue.  The memory of materialising S is priced instead, and past
-    its budget this raises ResourceError before walking.
+    residue.  `enumerate_s` counts S first and, past the memory budget,
+    raises ResourceError before walking.
     """
-    require_s_fits(limit, exclude_qi)
-    values = [e.value for e in enumerate_s(limit, exclude_qi)]
-    return check_property_p(values)
+    return check_property_p([e.value for e in enumerate_s(limit, exclude_qi)])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from propp import DomainError, SequenceFormatError, seqfile
+from propp import DomainError, ResourceError, SequenceFormatError, seqfile
 from propp.construct import (
     baseline_squares,
     contribution_window,
@@ -114,6 +114,16 @@ def test_baseline_squares():
     assert baseline_squares(150) == [9, 49, 121]
     assert baseline_squares(8) == []
     assert baseline_squares(361) == [9, 49, 121, 361]
+
+
+def test_builders_refuse_past_the_memory_budget(monkeypatch):
+    # each list is a few MB: refused under a 1 MB budget before it is built
+    monkeypatch.setattr("propp.errors.MEMORY_BUDGET", 1 << 20)
+    for build, args in ((enumerate_s, (10 ** 12,)), (enumerate_s_i, (1, 10 ** 12)),
+                        (baseline_squares, (10 ** 16,))):
+        with pytest.raises(ResourceError):
+            build(*args)
+    assert len(enumerate_s(10 ** 8)) == 107  # a list under the budget is built
 
 
 def test_finite_block():

@@ -367,6 +367,13 @@ def test_count_s_matches_count_s_i(exclude_qi):
                              for i in range(1, max_set_index(limit, exclude_qi) + 1)}, limit
 
 
+def test_count_s_stops_at_the_first_empty_layer():
+    # S_1 starts at 3^4 * 3^2 = 729, or 3^4 * 7^2 = 3969 with nu coprime to 3
+    for exclude_qi, first in ((False, 729), (True, 3969)):
+        assert count_s(first - 1, exclude_qi)[1] == {}
+        assert count_s(first, exclude_qi)[1] == {1: 1}
+
+
 def test_count_s_i_guards():
     for i, limit in ((0, 100), (1, 0), (True, 100), (1, 10.0 ** 4)):
         with pytest.raises(DomainError):

@@ -108,12 +108,11 @@ def test_cap_and_force():
     assert v.holds and v.triples_checked == math.comb(3200, 3)
 
 
-def _generic_values(n):
-    """n - 2 consecutive non-squares from 10^6, then two values near 10^15
+def _generic_values(n, start=10 ** 6, big=10 ** 15):
+    """n - 2 consecutive non-squares from `start`, then two values near `big`
     whose sum the last of them divides: no outer index is skipped or takes
     the lattice, so the plan prices every tail, C(n, 2) - 1 residues."""
-    head = [v for v in range(10 ** 6, 10 ** 6 + 2 * n) if math.isqrt(v) ** 2 != v][:n - 2]
-    big = 10 ** 15
+    head = [v for v in range(start, start + 2 * n) if math.isqrt(v) ** 2 != v][:n - 2]
     assert (-2 * big) % head[-1]
     return head + [big, big + (-2 * big) % head[-1]]
 
@@ -123,6 +122,21 @@ def test_residue_budget_boundary():
     with pytest.raises(ResourceError, match=str(math.comb(3109, 2) - 1)):
         check_property_p(_generic_values(3109))
     assert not check_property_p(_generic_values(3109), force=True).holds
+
+
+def test_big_integer_residue_budget_boundary(tmp_path):
+    # a residue past 2^62 is priced 11 int64 ones:
+    # 11 (C(937, 2) - 1) <= C(3108, 2) - 1 < 11 (C(938, 2) - 1)
+    runs = check_property_p(_generic_values(937, 1 << 70, 1 << 80))
+    assert runs.witness_indices == (934, 935, 936) and runs.triples_checked == 136670820
+    refused = _generic_values(938, 1 << 70, 1 << 80)
+    with pytest.raises(ResourceError, match=str(11 * (math.comb(938, 2) - 1))):
+        check_property_p(refused)
+    path = tmp_path / "big.txt"
+    path.write_text("".join(f"{v}\n" for v in refused))
+    assert cli_main(["verify", "--input", str(path)]) == 2
+    forced = check_property_p(refused, force=True)
+    assert forced.witness_indices == (935, 936, 937) and forced.triples_checked == 137109336
 
 
 def test_inputs_priced_below_the_budget_run_without_force(tmp_path, capsys):
