@@ -275,9 +275,7 @@ def cmd_constants(args, out) -> int:
     c_est = constants.c34(args.plimit)
     # the published 0.1485/0.1486 chain is specifically about the 1e4 truncation
     lp2 = constants.lambda_p2_sum(10 ** 4)
-    h2 = constants.h_second(1.0 / 3.0, args.h_plimit, "analytic")
-    cc = constants.corollary_constant(1.0 / 3.0, c34_limit=args.plimit,
-                                      h_plimit=args.h_plimit)
+    value = {c.name: c.value for c in checks}
     _dump_json({
         "plimit": args.plimit,
         "h_plimit": args.h_plimit,
@@ -285,8 +283,8 @@ def cmd_constants(args, out) -> int:
         "m34": asdict(m_est),
         "c34": asdict(c_est),
         "lambda_p2": asdict(lp2),
-        "h_second_at_one_third": h2,
-        "corollary_constant": cc,
+        "h_second_at_one_third": value["h_second_lower"],
+        "corollary_constant": value["corollary_constant"],
         "checks": [asdict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
     }, out)

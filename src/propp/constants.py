@@ -7,12 +7,15 @@ bracket, or a combination of the two.  Two families of quantities:
 * Mertens-type constants over the class 3 mod 4:
       sum_{p<=x} lambda(p)/p = (log log x)/2 + M(3,4) + O(1/log x)
       C(3,4) = gamma + sum_p (log(1 - 1/p) + 2 lambda(p)/p) = 2 M(3,4)
-  lambda is the class-3 prime array q itself, never a mask.  Each sum is
-  one pairwise tree over an ascending cached array: all primes for the
-  memoised L = sum log(1-1/p), the class 3 for every other sum, and the
-  conditionally convergent series recombine them (C(3,4) = gamma + L + 2R).
-  Float error stays near 1e-15 absolute, far inside the 5e-3 and 1e-2
-  tolerances.
+  lambda is the class-3 prime array q itself, never a mask.  Each call
+  writes its terms in place into one float64 buffer and sums it: L =
+  sum log(1-1/p) over all primes and R = sum 1/q share one, as do all
+  points of an x grid.  The bits match a fresh per-point expression: each
+  term takes the same IEEE steps in order (int64 -> float64 is exact below
+  2^53), and np.sum's pairwise tree depends only on a contiguous array's
+  length and contents.  Only the floats L and R are memoised: a kept array
+  would pin ~23 MB per 10^8 of truncation for the process's life.  The
+  series recombine them (C(3,4) = gamma + L + 2R) at float error ~1e-15.
 
 * The Gamma-normalised Euler product
       h(x) = (1/Gamma(x/2+1)) prod_p (1 - 1/p)^(x/2) (1 + x lambda(p)/p)
@@ -64,8 +67,6 @@ BRACKET_LOWER_BOUND = 1.0 / math.e
 # h'' is bounded on this window; the expansion's argument 2(k-3)/(3 log log x)
 # lands here for k near (log log x)/2
 BOUND_WINDOW = (99.0 / 300.0, 101.0 / 300.0)
-
-_E_TO_E = math.exp(math.e)
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,32 @@ def gamma_triple(x: float) -> GammaTriple:
 
 @functools.cache
 def _truncation_sums(plimit: int) -> tuple[float, float]:
-    """(L, R) = (sum_{p<=T} log(1-1/p), sum_{q<=T} 1/q) at T = plimit, one
-    pass over each prime array per truncation.  Two floats cannot go stale:
-    the store only grows, and each sum reads only the primes <= T."""
-    return (float(np.sum(np.log1p(-1.0 / primes_upto(plimit)))),
-            float(np.sum(1.0 / class3_upto(plimit))))
+    """(L, R) = (sum_{p<=T} log(1-1/p), sum_{q<=T} 1/q) at T = plimit.  Two
+    floats cannot go stale: the store only grows, and each sum reads only
+    the primes <= T."""
+    p = primes_upto(plimit)
+    buf = np.empty(len(p))
+    log_sum = float(np.sum(np.log1p(np.divide(-1.0, p, out=buf), out=buf)))
+    q = class3_upto(plimit)
+    return log_sum, float(np.sum(np.divide(1.0, q, out=buf[:len(q)])))
+
+
+def _class3_sums(xs, plimit: int, *kinds: str) -> list[tuple[float, ...]]:
+    """For each x in xs, the sums over the class-3 primes q <= plimit that
+    `kinds` names, in order: "log1p" log(1 + x/q), "recip" 1/(q+x) or
+    "recip_sq" 1/(q+x)^2.  One store read, one cast, one float buffer."""
+    q = class3_upto(plimit).astype(np.float64)
+    buf = np.empty_like(q)
+    def one(x: float, kind: str) -> float:
+        if kind == "log1p":
+            np.log1p(np.divide(x, q, out=buf), out=buf)
+        else:
+            np.add(q, x, out=buf)
+            if kind == "recip_sq":
+                np.square(buf, out=buf)
+            np.divide(1.0, buf, out=buf)
+        return float(np.sum(buf))
+    return [tuple(one(x, kind) for kind in kinds) for x in xs]
 
 
 def mertens_m34(limit: int) -> ConstantEstimate:
@@ -195,7 +217,7 @@ def c34(limit: int) -> ConstantEstimate:
 def lambda_p2_sum(limit: int) -> ConstantEstimate:
     """sum_{p<=limit} lambda(p)/p^2 plus the rigorous integral tail 1/limit."""
     require_int("lambda/p^2 truncation limit", limit, 10 ** 4)
-    value = float(np.sum(1.0 / np.square(class3_upto(limit), dtype=np.float64)))
+    [(value,)] = _class3_sums([0.0], limit, "recip_sq")
     return ConstantEstimate(
         name="sum lambda(p)/p^2", value=value, truncation=limit,
         error_note="positive terms, increasing in the truncation; upper_bound "
@@ -203,9 +225,9 @@ def lambda_p2_sum(limit: int) -> ConstantEstimate:
         upper_bound=value + 1.0 / limit)
 
 
-def _prime_log_sum_unchecked(x: float, plimit: int) -> float:
-    return (0.5 * _truncation_sums(plimit)[0]
-            + float(np.sum(1.0 / (class3_upto(plimit) + x))))
+def _prime_log_sums(xs, plimit: int) -> list[float]:
+    half_log_sum = 0.5 * _truncation_sums(plimit)[0]
+    return [half_log_sum + r for (r,) in _class3_sums(xs, plimit, "recip")]
 
 
 def prime_log_sum(x: float, plimit: int) -> float:
@@ -218,12 +240,7 @@ def prime_log_sum(x: float, plimit: int) -> float:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"prime log sum evaluated on [0, 1], got {x}")
     require_int("prime log sum truncation limit", plimit, 10 ** 4)
-    return _prime_log_sum_unchecked(x, plimit)
-
-
-def _lambda_shifted_sq_sum(x: float, plimit: int) -> float:
-    """sum_p lambda(p)/(p+x)^2, the derivative of the shifted reciprocal sum."""
-    return float(np.sum(1.0 / np.square(class3_upto(plimit) + x, dtype=np.float64)))
+    return _prime_log_sums([x], plimit)[0]
 
 
 # h and its derivatives; the expansion feeds arguments up to 2A/3, so the
@@ -236,9 +253,10 @@ def _check_h_domain(x: float) -> None:
         raise DomainError(f"h family evaluated on {_H_DOMAIN}, got {x}")
 
 
-def _product_log(x: float, plimit: int) -> float:
-    return ((x / 2.0) * _truncation_sums(plimit)[0]
-            + float(np.sum(np.log1p(x / class3_upto(plimit)))))
+def _euler_products(xs, plimit: int) -> list[float]:
+    log_sum = _truncation_sums(plimit)[0]
+    return [math.exp((x / 2.0) * log_sum + s)
+            for x, (s,) in zip(xs, _class3_sums(xs, plimit, "log1p"))]
 
 
 def euler_product(x: float, plimit: int) -> float:
@@ -249,14 +267,25 @@ def euler_product(x: float, plimit: int) -> float:
     """
     _check_h_domain(x)
     require_int("euler product truncation limit", plimit, 10 ** 4)
-    return math.exp(_product_log(x, plimit))
+    return _euler_products([x], plimit)[0]
 
 
 def h_eval(x: float, plimit: int) -> float:
     """h(x): the Euler product divided by Gamma(x/2 + 1).  h(0) = 1 exactly."""
     _check_h_domain(x)
     require_int("h truncation limit", plimit, 10 ** 4)
-    return math.exp(_product_log(x, plimit)) / math.gamma(x / 2.0 + 1.0)
+    return _euler_products([x], plimit)[0] / math.gamma(x / 2.0 + 1.0)
+
+
+def _h_second_factors(xs, plimit: int) -> list[float]:
+    half_log_sum = 0.5 * _truncation_sums(plimit)[0]
+    fs = []
+    for x, (r, s2) in zip(xs, _class3_sums(xs, plimit, "recip", "recip_sq")):
+        t = half_log_sum + r
+        g = gamma_triple(x)
+        fs.append(t * t / g.gamma - g.gamma2 / (4.0 * g.gamma ** 2) - s2 / g.gamma
+                  - g.gamma1 * t / g.gamma ** 2 + g.gamma1 ** 2 / (2.0 * g.gamma ** 3))
+    return fs
 
 
 def h_second_factor(x: float, plimit: int) -> float:
@@ -269,14 +298,7 @@ def h_second_factor(x: float, plimit: int) -> float:
     """
     _check_h_domain(x)
     require_int("h'' truncation limit", plimit, 10 ** 4)
-    t = _prime_log_sum_unchecked(x, plimit)
-    s2 = _lambda_shifted_sq_sum(x, plimit)
-    g = gamma_triple(x)
-    return (t * t / g.gamma
-            - g.gamma2 / (4.0 * g.gamma ** 2)
-            - s2 / g.gamma
-            - g.gamma1 * t / g.gamma ** 2
-            + g.gamma1 ** 2 / (2.0 * g.gamma ** 3))
+    return _h_second_factors([x], plimit)[0]
 
 
 _FD_STEP = 1e-4
@@ -451,16 +473,16 @@ def bounds_report(constant_plimit: int = DEFAULT_CONSTANT_PLIMIT,
         add(label, lo, f"[{lo:.6f}, {hi:.6f}] within [{bracket[0]}, {bracket[1]}]",
             bracket[0] <= lo and hi <= bracket[1])
 
-    sums = [prime_log_sum(x, constant_plimit) for x in grid]
+    sums = _prime_log_sums(grid, constant_plimit)
     add("prime_log_sum_band", min(sums),
         f"grid within ({PRIME_LOG_SUM_BRACKET[0]}, {PRIME_LOG_SUM_BRACKET[1]})",
         all(PRIME_LOG_SUM_BRACKET[0] < s < PRIME_LOG_SUM_BRACKET[1] for s in sums))
 
-    products = [euler_product(x, h_plimit) for x in grid]
+    products = _euler_products(grid, h_plimit)
     add("product_upper", max(products), f"< {PRODUCT_UPPER_BOUND}",
         max(products) < PRODUCT_UPPER_BOUND)
 
-    fs = [h_second_factor(x, h_plimit) for x in grid]
+    fs = _h_second_factors(grid, h_plimit)
     add("f_lower", min(fs), f">= {F_LOWER_BOUND}", min(fs) >= F_LOWER_BOUND)
 
     h2 = h_second(1.0 / 3.0, h_plimit, "analytic")

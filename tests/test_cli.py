@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from propp import primes, seqfile, verify
+from propp import constants, primes, seqfile, verify
 from propp.cli import build_parser, main
 from propp.construct import enumerate_s
 
@@ -297,6 +297,10 @@ def test_constants_json(capsys):
     assert body["m34"]["truncation"] == 1000000
     assert 0.0432 < body["m34"]["value"] < 0.0533
     assert body["all_passed"] is True
+    # read from the report's checks, not computed a second time
+    assert body["h_second_at_one_third"] == constants.h_second(1 / 3, 100000)
+    assert body["corollary_constant"] == constants.corollary_constant(
+        1 / 3, c34_limit=1000000, h_plimit=100000)
 
 
 def test_envelope_and_theorem_terms(capsys):

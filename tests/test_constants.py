@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from _naive import trial_division_primes
+from test_counting import _cold
 from propp import DomainError, constants, primes
 from propp.constants import (
     BOUND_WINDOW,
@@ -189,6 +191,53 @@ def test_truncated_sums_do_not_move_when_the_store_grows(monkeypatch):
     assert mertens_m34(10 ** 5).value == before
 
 
+@pytest.mark.parametrize("plimit", [10 ** 4, 10 ** 5, 10 ** 6])
+def test_one_buffer_sums_equal_the_per_point_expressions(plimit):
+    p, q = primes.primes_upto(plimit), primes.class3_upto(plimit)
+    xs = _grid(*BOUND_WINDOW) + [0.0, 1.0, 2.0]
+    rows = constants._class3_sums(xs, plimit, "recip", "recip_sq", "log1p")
+    for x, (recip, recip_sq, log1p) in zip(xs, rows):
+        # reference: a fresh per-point expression with its own temporaries
+        assert recip == np.sum(1.0 / (q + x))
+        assert recip_sq == np.sum(1.0 / np.square(q + x, dtype=np.float64))
+        assert log1p == np.sum(np.log1p(x / q))
+    constants._truncation_sums.cache_clear()
+    log_sum, class3_sum = constants._truncation_sums(plimit)
+    assert log_sum == np.sum(np.log1p(-1.0 / p))
+    assert class3_sum == np.sum(1.0 / q)
+    # the scalar functions are one-point grids: bit for bit the grid entries
+    sums = constants._prime_log_sums(xs, plimit)
+    products = constants._euler_products(xs, plimit)
+    fs = constants._h_second_factors(xs, plimit)
+    for x, (recip, recip_sq, _), s, prod, f in zip(xs, rows, sums, products, fs):
+        assert s == 0.5 * log_sum + recip
+        if x <= 1.0:
+            assert prime_log_sum(x, plimit) == s
+        assert euler_product(x, plimit) == prod
+        assert h_eval(x, plimit) == prod / math.gamma(x / 2.0 + 1.0)
+        assert h_second_factor(x, plimit) == f
+        assert h_second(x, plimit) == f * prod
+    assert lambda_p2_sum(plimit).value == rows[xs.index(0.0)][1]
+
+
+def test_bounds_report_reads_the_class3_store_once_per_truncation_and_grid(
+        monkeypatch):
+    reads = []
+
+    def counted_class3_upto(limit):
+        reads.append(limit)
+        return primes.class3_upto(limit)
+
+    monkeypatch.setattr(constants, "class3_upto", counted_class3_upto)
+    constants._truncation_sums.cache_clear()
+    bounds_report(10 ** 6, 10 ** 5)
+    # 10^6: the truncation sums and the prime-log-sum grid.  10^5: the
+    # truncation sums (the decade drift), the product grid, the f grid, and
+    # f and the product for h''(1/3), once on its own and once inside the
+    # corollary constant.  10^4: lambda/p^2.
+    assert sorted(reads) == [10 ** 4] + [10 ** 5] * 7 + [10 ** 6] * 2
+
+
 # -------------------------------------------------------------- h family
 
 def test_h_at_zero_is_exactly_one():
@@ -327,3 +376,23 @@ def test_bounds_report_small_truncations():
             "corollary_constant", "one_over_e_bracket"} <= names
     failing = [c for c in checks if not c.passed]
     assert failing == []
+
+
+# ru_maxrss is in KiB.  At the defaults the store holds ~69 MB of primes;
+# a prime-sized float temporary per grid point or per sum lifts the peak
+# to ~184 MB, one reused buffer per call keeps it near 141 MB
+_COLD_PEAK = (
+    "import contextlib, io, json, resource\n"
+    "from propp.cli import main\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    code = main({argv!r})\n"
+    "print(json.dumps([code, json.loads(out.getvalue())['all_passed'],\n"
+    "                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--emit", "json"], ["constants"]])
+def test_default_truncations_peak_under_150_mb_cold(argv):
+    code, all_passed, peak_kib = _cold(_COLD_PEAK.format(argv=argv))
+    assert code == 0 and all_passed is True
+    assert peak_kib < 150 * 1024
