@@ -314,15 +314,12 @@ def h_second(x: float, plimit: int, method: str = "analytic") -> float:
     if method == "numeric":
         if not _H_DOMAIN[0] + _FD_STEP <= x <= _H_DOMAIN[1] - _FD_STEP:
             raise DomainError(f"numeric h'' needs an interior point, got {x}")
-        center = h_eval(x, plimit)
-
-        def second_diff(step: float) -> float:
-            hi = h_eval(x + step, plimit)
-            lo = h_eval(x - step, plimit)
-            return (hi - 2.0 * center + lo) / (step * step)
-
-        coarse = second_diff(_FD_STEP)
-        fine = second_diff(_FD_STEP / 2.0)
+        steps = (_FD_STEP, _FD_STEP / 2.0)
+        points = [x] + [x + d for step in steps for d in (step, -step)]
+        center, *sides = [e / math.gamma(t / 2.0 + 1.0)
+                          for t, e in zip(points, _euler_products(points, plimit))]
+        coarse, fine = ((hi - 2.0 * center + lo) / (step * step)
+                        for step, hi, lo in zip(steps, sides[::2], sides[1::2]))
         return (4.0 * fine - coarse) / 3.0
     raise DomainError(f"method must be 'analytic' or 'numeric', got {method!r}")
 
@@ -489,8 +486,7 @@ def bounds_report(constant_plimit: int = DEFAULT_CONSTANT_PLIMIT,
     add("h_second_lower", h2, f"> {H_SECOND_LOWER_BOUND}",
         h2 > H_SECOND_LOWER_BOUND)
 
-    cc = corollary_constant(1.0 / 3.0, c34_limit=constant_plimit,
-                            h_plimit=h_plimit)
+    cc = 1.0 + c_est.value / 2.0 + h2 / 2.0  # corollary_constant(1/3), from h2
     add("corollary_constant", cc, f">= {COROLLARY_CONSTANT_BOUND}",
         cc >= COROLLARY_CONSTANT_BOUND)
 

@@ -28,10 +28,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import constants
-from .errors import DomainError, ResourceError, require_fits, require_int
+from .errors import DomainError, ResourceError, require_int
 from .primes import class3_upto, nth_q, primes_upto, sieved_limit
 
-PI_K_FEASIBILITY_LIMIT = 10 ** 10
+# One price for every class-3 count, in units of the Lucy table's work
+# x^(3/4) / ln x.  On a 2-vCPU VM the table took ~115 ns a unit at x = 10^12
+# (4.2 s, 106 MB) and ~130 ns at 10^13 (24.5 s, 303 MB for 1.9e8 units), so
+# the budget, ~26 s of table, admits x = 10^13 and refuses 1.1e14 (1.05e9).
+_WORK_BUDGET = 2 * 10 ** 8
+# A call of the walk's count_from in those units: 6.4 us a node on the same
+# VM (`pik --x 1e30 --k 17`, 1,866,853 nodes in 11.9 s) over ~130 ns a unit.
+_NODE_WEIGHT = 49
 
 # established admissible constant for the corollary-window lower bound
 ADMISSIBLE_C = 0.802
@@ -151,48 +158,52 @@ def _class3_counts(x: int, primes: np.ndarray):
 
 def _class3_counter(x: int, k: int):
     """(class-3 primes, pi(v;4,3) for every v = floor(x/m)) for the walk of
-    pi_k(x;4,3), or None once q_1...q_k > x.  The prime store gives both
-    when it covers the largest leaf budget x // (q_1...q_{k-1}); otherwise
-    a Lucy_Hedgehog table for x does, after sieving to sqrt(x)."""
+    pi_k(x;4,3), or None once q_1...q_k > x: the store when it covers the
+    largest leaf L = x // (q_1...q_{k-1}), else the cheaper within
+    _WORK_BUDGET of a Lucy_Hedgehog table for x (sieving to sqrt(x)) and the
+    store filled to L, a unit an integer: ~4 ns of sieve, but ~1 byte of
+    store (126 MB at 10^8) against ~2 bytes a table unit (106 MB at 10^12)."""
     smallest: list[int] = []
     for j in range(1, k + 1):
         smallest.append(nth_q(j))
         if math.prod(smallest) > x:  # stops a huge k long before nth_q(k)
             return None
     leaves = x // math.prod(smallest[: k - 1])
-    if leaves <= sieved_limit():
-        arr = class3_upto(leaves)
-        return arr, lambda v: np.searchsorted(arr, v, side="right")
-    if x > PI_K_FEASIBILITY_LIMIT:
-        raise ResourceError(f"x = {x} needs a pi(v;4,3) table past the guard")
-    root = math.isqrt(x)
-    return class3_upto(root), _class3_counts(x, primes_upto(root))
+    if leaves > sieved_limit():
+        log_x = math.log(x)  # the table's price x^(3/4) / ln x, logged: x may pass floats
+        if 0.75 * log_x - math.log(log_x) <= math.log(min(leaves, _WORK_BUDGET)):
+            return class3_upto(math.isqrt(x)), _class3_counts(x, primes_upto(math.isqrt(x)))
+        if leaves > _WORK_BUDGET:
+            raise ResourceError(f"pi_{k}({x};4,3) needs a table or sieve past the budget")
+    arr = class3_upto(leaves)
+    return arr, lambda v: np.searchsorted(arr, v, side="right")
 
 
 def pi_k_exact(x: int, k: int) -> int:
     """Exact pi_k(x;4,3): pruned enumeration over ascending class-3 primes.
     The last factor is counted, never enumerated: a tuple with product P
     adds pi(x // P;4,3) minus the primes up to its largest factor."""
-    require_int("x", x)
-    require_int("k", k)
-    counter = _class3_counter(x, k)
-    if counter and x > PI_K_FEASIBILITY_LIMIT:  # the walk has no cost guard of its own
-        raise ResourceError(
-            f"x = {x} exceeds the enumeration feasibility guard {PI_K_FEASIBILITY_LIMIT}")
-    return _pi_k(x, k, counter)
+    return _pi_k(x, k, _class3_counter(require_int("x", x), require_int("k", k)))
 
 
 def _pi_k(x: int, k: int, counter) -> int:
     """pi_k(x;4,3) through `counter`, which must answer every floor(x/m);
-    None, which `_class3_counter` returns once q_1...q_k > x, counts 0."""
+    None, which `_class3_counter` returns once q_1...q_k > x, counts 0.
+    The walk raises ResourceError once its nodes pass _WORK_BUDGET."""
     if counter is None:
         return 0
     arr, count = counter
     if k == 1:
         return int(count(x))
     n = len(arr)
+    nodes = 0
 
     def count_from(start: int, remaining: int, budget: int) -> int:
+        nonlocal nodes
+        nodes += 1
+        if nodes * _NODE_WEIGHT > _WORK_BUDGET:
+            raise ResourceError(f"pi_{k}({x};4,3) walks past "
+                                f"{_WORK_BUDGET // _NODE_WEIGHT} nodes")
         if remaining == 2:
             # every p <= sqrt(budget) at once: pi(budget // p) minus the
             # class-3 primes up to p, which number idx + 1
@@ -210,13 +221,6 @@ def _pi_k(x: int, k: int, counter) -> int:
         return total
 
     return count_from(0, k, x)
-
-
-# Materialised, an element of S costs ~800 bytes at most: the JSON report
-# of `construct --all` peaked at 403 MB for the 483,065 elements below
-# 10^16 (~770 bytes each over the 30 MB interpreter; the plain walk alone
-# took ~270).
-S_ELEMENT_BYTES = 800
 
 
 def nu_bound(i: int, limit: int) -> int:
@@ -240,20 +244,11 @@ def _layer(i: int, n: int, exclude_qi: bool, counter) -> int:
 
 
 def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
-    """|S_i ∩ [1, limit]|, counted without enumerating the layer.
-
-    q_i^4 nu^2 <= limit exactly when nu <= N = nu_bound(i, limit).  Past
-    N = 10^10 it is read from the store filled to P = N // (q_1...q_{i-1}),
-    after a ResourceError if the q_1...q_{i-1} p alone pass the budget."""
+    """|S_i ∩ [1, limit]|, counted without enumerating the layer: q_i^4 nu^2
+    <= limit exactly when nu <= N = nu_bound(i, limit)."""
     require_int("set index", i)
     require_int("limit", limit)
     n = nu_bound(i, limit)
-    if n > PI_K_FEASIBILITY_LIMIT:
-        top = n // math.prod(map(nth_q, range(1, i)))
-        # q_1...q_{i-1} p is a nu for every class-3 p in (q_{i-1}, P], p != q_i
-        require_fits(f"S_{i} up to {limit}", _pi_k(top, 1, _class3_counter(top, 1)) - i,
-                     S_ELEMENT_BYTES)
-        class3_upto(top)
     return _layer(i, n, exclude_qi, _class3_counter(n, i))
 
 

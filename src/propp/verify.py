@@ -217,15 +217,19 @@ def _plan(a_np: np.ndarray, roots_np: np.ndarray, square: np.ndarray,
     tail = np.arange(len(a_np) - 1, 1, -1)  # n - 1 - i
     tail_ns = ns_upto[-1] - ns_upto[:-2]
     lattice = live & square[:-2] & (tail_ns < np.frexp(tail)[1])  # bit_length
+    weight = _BIG_RESIDUE_WEIGHT if a_np.dtype == object else 1
+
+    def refuse_past_budget() -> None:
+        price = 0 if force else weight * int(tail[live & ~(lattice & (tail_ns == 0))].sum())
+        if price > _RESIDUE_BUDGET:
+            raise ResourceError(
+                f"the scan's tail residues are priced at {price}, past the budget of "
+                f"{_RESIDUE_BUDGET}; pass force (CLI: --force) to scan anyway")
+    refuse_past_budget()  # every candidate taken as lattice: a lower bound
     at = np.flatnonzero(lattice)
     if at.size:  # a square at i has i - ns_upto[i] squares before it
         lattice[at] = _lattice_roots(roots_np[at - ns_upto[at]])
-    weight = _BIG_RESIDUE_WEIGHT if a_np.dtype == object else 1
-    price = weight * int(tail[live & ~(lattice & (tail_ns == 0))].sum())
-    if price > _RESIDUE_BUDGET and not force:
-        raise ResourceError(
-            f"the scan's tail residues are priced at {price}, past the budget of "
-            f"{_RESIDUE_BUDGET}; pass force (CLI: --force) to scan anyway")
+        refuse_past_budget()
     return live, lattice
 
 

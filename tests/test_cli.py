@@ -272,8 +272,9 @@ def test_count_s_total_matches_union(capsys):
 
 
 def test_count_s_beyond_the_sieve_cap_is_a_resource_error(capsys):
-    # layer 1 needs the class-3 primes up to sqrt(2e21 / 81) > 2^32
-    code, out, err = run(capsys, "count-s", "--limit", "2e21")
+    # X = isqrt(2e28) = 1.4e14: its table is priced past the work budget, and
+    # the class-3 primes up to X pass both that budget and the 2^32 sieve cap
+    code, out, err = run(capsys, "count-s", "--limit", "2e28")
     assert code == 2 and out == "" and err.startswith("error:")
 
 
@@ -425,8 +426,14 @@ EXIT_CONTRACT = [
     # q_1 q_2 > 100 settles k = 3,000,000 after two primes
     (["pik", "--x", "100", "--k", "3000000"], 0, '  "exact": 0'),
     (["pik", "--x", "100", "--k", "0"], 2, None),
-    # q_1...q_30 > x: 0 without a table, though x is past the 10^10 guard
+    # q_1...q_30 > x: 0 without a table or a sieve
     (["pik", "--x", "10000000001", "--k", "30"], 0, '  "exact": 0'),
+    # its leaves stop at x // (q_1...q_7) = 111: a store filled that far counts it
+    (["pik", "--x", "15000000000", "--k", "8"], 0, '  "exact": 20'),
+    # a table for 1e14 and the primes up to 1e14 // 3 are both past the budget
+    (["pik", "--x", "1e14", "--k", "2"], 2, None),
+    # the same for the table for X = 1e15
+    (["count-s", "--limit", "1e30"], 2, None),
     (["envelope", "--x", "10"], 2, None),
     # 38,285,539 elements, counted before any is built: past the budget
     (["construct", "--all", "--limit", "1e20"], 2, None),

@@ -233,9 +233,9 @@ def test_bounds_report_reads_the_class3_store_once_per_truncation_and_grid(
     bounds_report(10 ** 6, 10 ** 5)
     # 10^6: the truncation sums and the prime-log-sum grid.  10^5: the
     # truncation sums (the decade drift), the product grid, the f grid, and
-    # f and the product for h''(1/3), once on its own and once inside the
-    # corollary constant.  10^4: lambda/p^2.
-    assert sorted(reads) == [10 ** 4] + [10 ** 5] * 7 + [10 ** 6] * 2
+    # f and the product for h''(1/3), which the corollary constant reuses.
+    # 10^4: lambda/p^2.
+    assert sorted(reads) == [10 ** 4] + [10 ** 5] * 5 + [10 ** 6] * 2
 
 
 # -------------------------------------------------------------- h family

@@ -86,8 +86,10 @@ def test_pi_k_monotone_in_x():
 
 
 def test_pi_k_guards():
+    # a table for 1e14 (9.8e8 units) and the primes up to 1e14 // 3 are
+    # both past the work budget
     with pytest.raises(ResourceError):
-        pi_k_exact(10 ** 10 + 1, 2)
+        pi_k_exact(10 ** 14, 2)
     with pytest.raises(DomainError):
         pi_k_exact(0, 1)
     with pytest.raises(DomainError):
@@ -289,43 +291,82 @@ def test_count_s_i_matches_enumeration(exclude_qi):
 
 @pytest.mark.parametrize("exclude_qi", [False, True])
 def test_count_s_i_counts_past_the_guard(exclude_qi):
-    # N = nu_bound runs from 1.4e10 to 7e14, past the 10^10 guard; the
-    # store path counts these layers exactly
+    # N = nu_bound runs from 1.4e10 to 7e14, but the leaves N // (q_1...q_{i-1})
+    # stay below 2,000, so a small store counts these layers exactly
     for i, limit in ((8, 10 ** 27), (8, 10 ** 28), (9, 10 ** 33), (10, 10 ** 37),
                      (10, 10 ** 30)):
         assert count_s_i(i, limit, exclude_qi) == \
             len(enumerate_s_i(i, limit, exclude_qi)), (i, limit)
     for i, limit in ((1, 10 ** 12), (3, 10 ** 16)):
         assert count_s_i(i, limit, exclude_qi) == count_s(limit, exclude_qi)[1][i]
-    # q_1...q_4 p for the ~1.1e7 class-3 primes p <= 4.3e8 pass the budget:
-    # refused without sieving that far
-    raised, limit = _cold(
-        "import json\n"
-        "from propp import ResourceError\n"
-        "from propp.counting import count_s_i\n"
-        "from propp.primes import sieved_limit\n"
-        "try:\n"
-        f"    count_s_i(5, 10 ** 30, {exclude_qi})\n"
-        "    raised = False\n"
-        "except ResourceError:\n"
-        "    raised = True\n"
-        "print(json.dumps([raised, sieved_limit()]))")
-    assert raised and limit < 4.3e8
     with pytest.raises(ResourceError):
-        count_s_i(1, 10 ** 30, exclude_qi)  # pi(1.1e14;4,3) is past the guard
+        count_s_i(1, 10 ** 30, exclude_qi)  # pi(1.1e14;4,3) is past the budget
     with pytest.raises(DomainError):
         count_s_i(1, -1, exclude_qi)
 
 
 def test_count_s_i_past_the_guard_pins():
-    # from the store path before count_s_i took it over (N = 5.4e11, 3.3e10);
-    # a cold store shows that count_s_i fills it to P before counting
-    counts = _cold(
+    # (7, 10^30) and (6, 10^27) from the store path before count_s_i took it
+    # over (N = 5.4e11, 3.3e10).  S_5 up to 10^30 is counted from a table for
+    # N = 1.9e12 (the store path, filled to 4.3e8, gives the same numbers):
+    # its 2.6e9 elements are refused by enumerate_s_i, whose error states the
+    # count, without sieving to 4.3e8
+    counts, refusals, limit = _cold(
         "import json\n"
+        "from propp import ResourceError\n"
+        "from propp.construct import enumerate_s_i\n"
         "from propp.counting import count_s_i\n"
-        "print(json.dumps([count_s_i(i, limit, e) for i, limit in "
-        "((7, 10 ** 30), (6, 10 ** 27)) for e in (False, True)]))")
+        "from propp.primes import sieved_limit\n"
+        "counts = [count_s_i(i, limit, e) for i, limit in "
+        "((7, 10 ** 30), (6, 10 ** 27)) for e in (False, True)]\n"
+        "refusals = []\n"
+        "for e in (False, True):\n"
+        "    try:\n"
+        "        enumerate_s_i(5, 10 ** 30, e)\n"
+        "    except ResourceError as err:\n"
+        "        refusals.append(str(err))\n"
+        "print(json.dumps([counts, refusals, sieved_limit()]))")
     assert counts == [2_577_341, 1_954_193, 2_456_986, 1_846_202]
+    assert [r.split(" elements")[0].rsplit(" ", 1)[1] for r in refusals] == \
+        ["2601167318", "2117372845"]
+    assert limit < 4.3e8
+
+
+def test_count_s_past_1e20():
+    # oracle-confirmed (perfbench/oracle.py): one table for X = 10^11
+    baseline, per_index = count_s(10 ** 22)
+    assert (baseline, sum(per_index.values())) == (2_059_034_532, 347_580_002)
+    assert per_index == {1: 251_599_044, 2: 76_348_546, 3: 18_030_350,
+                         4: 1_499_280, 5: 101_574, 6: 1_208}
+
+
+def test_no_table_is_started_past_the_price(monkeypatch):
+    tables = []
+
+    def counted(x, primes):
+        tables.append(x)
+        return lambda v: np.zeros_like(np.asarray(v, dtype=np.int64))
+    monkeypatch.setattr(counting, "_class3_counts", counted)
+    # X = 10^13 (count-s --limit 1e26) is priced 1.9e8 units: admitted
+    assert count_s(10 ** 26) == (0, {})
+    before = sieved_limit()
+    # X = 1.1e14 is priced 1.05e9; the primes up to X would cost more still
+    for call in (lambda: count_s(121 * 10 ** 26), lambda: pi_k_exact(11 * 10 ** 13, 1),
+                 lambda: pi_k_exact(10 ** 14, 2), lambda: count_s_i(1, 10 ** 30)):
+        with pytest.raises(ResourceError):
+            call()
+    assert tables == [10 ** 13] and sieved_limit() == before
+
+
+def test_walk_stops_at_the_work_budget(monkeypatch):
+    primes_upto(10 ** 6)  # the store covers the leaves 10^8 // 231: no table
+    assert pi_k_exact(10 ** 8, 4) == 507_590
+    # that walk makes 175 calls of count_from
+    monkeypatch.setattr(counting, "_WORK_BUDGET", 175 * counting._NODE_WEIGHT)
+    assert pi_k_exact(10 ** 8, 4) == 507_590
+    monkeypatch.setattr(counting, "_WORK_BUDGET", 175 * counting._NODE_WEIGHT - 1)
+    with pytest.raises(ResourceError, match="walks past 174 nodes"):
+        pi_k_exact(10 ** 8, 4)
 
 
 def test_count_s_matches_bench_pins():

@@ -139,6 +139,24 @@ def test_big_integer_residue_budget_boundary(tmp_path):
     assert forced.witness_indices == (935, 936, 937) and forced.triples_checked == 137109336
 
 
+def test_plan_refuses_before_classifying_roots(monkeypatch):
+    # 2,638 big squares, then 5 non-squares above them: every live index has
+    # a non-square in its tail, so the plan passes the budget whatever the
+    # lattice would decide, and no root is factored before the refusal
+    rng = random.Random(16)
+    squares = sorted({rng.randrange(1 << 70, 1 << 80) ** 2 for _ in range(2638)})
+    seq = squares + [(1 << 160) + 2 * t + 1 for t in range(5)]
+    assert len(seq) == 2643 and all(math.isqrt(v) ** 2 != v for v in seq[-5:])
+
+    def not_called(roots):
+        raise AssertionError("roots classified before the plan was priced")
+    monkeypatch.setattr(verify, "_lattice_roots", not_called)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="priced at"):
+        check_property_p(seq)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_inputs_priced_below_the_budget_run_without_force(tmp_path, capsys):
     s_path = tmp_path / "s.txt"
     assert cli_main(["construct", "--all", "--limit", "1e12", "--out", str(s_path)]) == 0
