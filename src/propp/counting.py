@@ -161,8 +161,8 @@ def _class3_counter(x: int, k: int):
     pi_k(x;4,3), or None once q_1...q_k > x: the store when it covers the
     largest leaf L = x // (q_1...q_{k-1}), else the cheaper within
     _WORK_BUDGET of a Lucy_Hedgehog table for x (sieving to sqrt(x)) and the
-    store filled to L, a unit an integer: ~4 ns of sieve, but ~1 byte of
-    store (126 MB at 10^8) against ~2 bytes a table unit (106 MB at 10^12)."""
+    store filled to L, a unit an integer: ~3 ns of sieve, but ~1 byte of
+    store (103 MB at 10^8) against ~2 bytes a table unit (106 MB at 10^12)."""
     smallest: list[int] = []
     for j in range(1, k + 1):
         smallest.append(nth_q(j))

@@ -276,6 +276,21 @@ def test_sieve_csv_at_1e8_cold(tmp_path):
     assert peak_kb < 190 * 1024
 
 
+def test_store_fill_at_1e8_holds_little_beyond_its_arrays():
+    # a cold fill writes each segment into place: its peak RSS growth stays
+    # within 1.2x the two arrays it keeps (1.07x measured, 1.46x when the fill
+    # concatenated all segments and filtered class 3 at full length)
+    grown_kb, nbytes = _cold(
+        "import json, resource\n"
+        "from propp.primes import class3_upto, primes_upto\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "n = primes_upto(10 ** 8).nbytes + class3_upto(10 ** 8).nbytes\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(json.dumps([grown, n]))")
+    assert nbytes == 8 * (5_761_455 + 2_880_950)
+    assert grown_kb * 1024 <= 1.2 * nbytes
+
+
 @pytest.mark.parametrize("exclude_qi", [False, True])
 def test_count_s_i_matches_enumeration(exclude_qi):
     spread = [1, 10, 728, 729, 10 ** 4, 10 ** 6, 3 * 10 ** 7 + 1, 10 ** 8,

@@ -105,6 +105,34 @@ def test_threaded_sieve_identical(monkeypatch):
         assert np.array_equal(class3, expected[(expected & 3) == 3])
 
 
+def test_store_capacity_bounds_pi():
+    # the Rosser-Schoenfeld allocation holds pi(x) at every x it may meet
+    naive = np.array(trial_division_primes(10 ** 5))
+    xs = np.arange(2, 10 ** 5 + 1)
+    caps = np.array([primes._capacity(int(x)) for x in xs])
+    assert (caps >= np.searchsorted(naive, xs, side="right")).all()
+    sympy = pytest.importorskip("sympy")
+    for x in (10 ** 6, 10 ** 7, 10 ** 8, 10 ** 9, 1 << 31, 1 << 32):
+        assert primes._capacity(x) >= int(sympy.primepi(x)), x
+
+
+def test_store_grows_across_many_segments(monkeypatch):
+    # an emptied store grows 10^6 -> 10^7 -> 3e7, over many segments and
+    # two reallocations; the arrays are trimmed, not views of a larger one
+    expected = np.concatenate(list(prime_segments(3 * 10 ** 7, segment_size=1 << 16)))
+    for name in ("_cached_primes", "_cached_class3"):
+        monkeypatch.setattr(primes, name, getattr(primes, name)[:0])
+    monkeypatch.setattr(primes, "_cached_limit", 1)
+    for limit in (10 ** 6, 10 ** 7, 3 * 10 ** 7):
+        primes_upto(limit)
+        for arr in (primes._cached_primes, primes._cached_class3):
+            assert arr.base is None and arr.flags.owndata and not arr.flags.writeable
+    assert primes.sieved_limit() == 3 * 10 ** 7
+    assert np.array_equal(primes._cached_primes, expected)
+    assert np.array_equal(primes_upto(3 * 10 ** 7), expected)
+    assert np.array_equal(class3_upto(3 * 10 ** 7), expected[(expected & 3) == 3])
+
+
 def test_sieve_guards():
     with pytest.raises(DomainError):
         next(prime_segments(1))
