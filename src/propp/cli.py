@@ -126,10 +126,11 @@ def _add_plimits(parser) -> None:
 def cmd_sieve(args, out) -> int:
     # primes_upto(1) is an empty array, not an error
     limit = require_int("sieve limit", args.limit, 2)
-    # ~72 B a listed prime: peak RSS 229 MB at 1e8, 791 MB at 4e8; past the
-    # sieve's cap primes_upto refuses on its own
+    # ~60 B a listed prime: peak RSS 201 MB at 1e8, 648 MB at 4e8 (the
+    # uint32 store, 4 B a prime); past the sieve's cap primes_upto refuses
+    # on its own
     if args.emit == "json" and limit <= primes.MAX_SIEVE_LIMIT:
-        require_fits(f"the class-3 primes up to {limit}", counting.pi_k_exact(limit, 1), 72)
+        require_fits(f"the class-3 primes up to {limit}", counting.pi_k_exact(limit, 1), 60)
     prime_count = len(primes.primes_upto(limit))
     class3 = primes.class3_upto(limit)
     if args.emit == "csv":

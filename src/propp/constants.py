@@ -11,8 +11,8 @@ bracket, or a combination of the two.  Two families of quantities:
   writes its terms in place into one float64 buffer and sums it: L =
   sum log(1-1/p) over all primes and R = sum 1/q share one, as do all
   points of an x grid.  The bits match a fresh per-point expression: each
-  term takes the same IEEE steps in order (int64 -> float64 is exact below
-  2^53), and np.sum's pairwise tree depends only on a contiguous array's
+  term takes the same IEEE steps in order (the store's uint32 -> float64
+  is exact), and np.sum's pairwise tree depends only on a contiguous array's
   length and contents.  Only the floats L and R are memoised: a kept array
   would pin ~23 MB per 10^8 of truncation for the process's life.  The
   series recombine them (C(3,4) = gamma + L + 2R) at float error ~1e-15.

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constants
 from .errors import DomainError, ResourceError, require_int
-from .primes import class3_upto, nth_q, primes_upto, sieved_limit
+from .primes import class3_upto, nth_q, primes_upto, sieved_limit, store_key
 
 # One price for every class-3 count, in units of the Lucy table's work
 # x^(3/4) / ln x.  On a 2-vCPU VM the table took ~115 ns a unit at x = 10^12
@@ -105,7 +105,8 @@ def _class3_counts(x: int, primes: np.ndarray):
     # when v % 4 is 1 or 2 and to 0 otherwise
     chi_sums = [np.isin(v & 3, (1, 2)).astype(np.int64) - 1 for v in (small_v, big_v)]
     sums = [(small_v - 1, big_v - 1), tuple(chi_sums)]
-    primes = primes[: int(np.searchsorted(primes, r, side="right"))]
+    # int64: batch * batch below overflows the store's uint32
+    primes = primes[: int(np.searchsorted(primes, store_key(r), side="right"))].astype(np.int64)
     cut = int(np.searchsorted(primes, _icbrt(x), side="right"))
     for p in primes[:cut].tolist():
         top = min(r, x // (p * p))   # entries v = x // i >= p^2
@@ -161,8 +162,8 @@ def _class3_counter(x: int, k: int):
     pi_k(x;4,3), or None once q_1...q_k > x: the store when it covers the
     largest leaf L = x // (q_1...q_{k-1}), else the cheaper within
     _WORK_BUDGET of a Lucy_Hedgehog table for x (sieving to sqrt(x)) and the
-    store filled to L, a unit an integer: ~3 ns of sieve, but ~1 byte of
-    store (103 MB at 10^8) against ~2 bytes a table unit (106 MB at 10^12)."""
+    store filled to L, a unit an integer: ~3 ns of sieve, but ~0.7 byte of
+    store (70 MB at 10^8) against ~2 bytes a table unit (106 MB at 10^12)."""
     smallest: list[int] = []
     for j in range(1, k + 1):
         smallest.append(nth_q(j))
@@ -176,7 +177,7 @@ def _class3_counter(x: int, k: int):
         if leaves > _WORK_BUDGET:
             raise ResourceError(f"pi_{k}({x};4,3) needs a table or sieve past the budget")
     arr = class3_upto(leaves)
-    return arr, lambda v: np.searchsorted(arr, v, side="right")
+    return arr, lambda v: np.searchsorted(arr, store_key(v), side="right")
 
 
 def pi_k_exact(x: int, k: int) -> int:
@@ -207,11 +208,11 @@ def _pi_k(x: int, k: int, counter) -> int:
         if remaining == 2:
             # every p <= sqrt(budget) at once: pi(budget // p) minus the
             # class-3 primes up to p, which number idx + 1
-            stop = int(np.searchsorted(arr, math.isqrt(budget), side="right"))
+            stop = int(np.searchsorted(arr, store_key(math.isqrt(budget)), side="right"))
             if stop <= start:
                 return 0
             below = (start + 1 + stop) * (stop - start) // 2
-            return int(count(budget // arr[start:stop]).sum()) - below
+            return int(count(budget // arr[start:stop].astype(np.int64)).sum()) - below
         total = 0
         for idx in range(start, n):
             p = int(arr[idx])

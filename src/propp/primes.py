@@ -8,8 +8,10 @@ integers, so its 1 MiB mask stays in a core's L2 cache.  The results feed a
 process-wide store that grows by at least doubling; a growth sieves only
 the range past the old limit, so repeated callers never re-sieve it, and
 writes each segment straight into arrays sized by the Rosser-Schoenfeld
-bound (Illinois J. Math. 6 (1962)), then trims them to length.  A cold
-process that fills the store to 10^8 peaks at ~103 MB, to 10^9 at ~617 MB.
+bound (Illinois J. Math. 6 (1962)), then trims them to length.  Both
+arrays are uint32, which holds every prime below MAX_SIEVE_LIMIT = 2^32.
+A cold process that fills the store to 10^8 peaks at ~70 MB, to 10^9 at
+~329 MB.
 """
 from __future__ import annotations
 
@@ -26,8 +28,10 @@ from .errors import DomainError, ResourceError
 # 0.19-0.27 s at 2^20, 0.25 s at 2^22 and 0.25-0.28 s at 2^23
 SEGMENT_SIZE = 1 << 21
 
-# Memory budget guard; ~203M stored primes (1.6 GB) at the cap.
+# Memory budget guard; ~203M primes and ~102M class-3 primes (1.2 GB as
+# uint32) at the cap.
 MAX_SIEVE_LIMIT = 1 << 32
+_KEY_MAX = MAX_SIEVE_LIMIT - 1
 
 
 def _base_primes(n: int) -> np.ndarray:
@@ -40,18 +44,19 @@ def _base_primes(n: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _sieve_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
+def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """The odd primes in [lo, hi], given the odd primes up to sqrt(hi) in
     `base`; mask entry j stands for the odd number first + 2j."""
     first = lo | 1
     mask = np.ones((hi - first) // 2 + 1, dtype=bool)
-    for p in base:
-        if p * p > hi:
-            break
-        start = max(p * p, -(-first // p) * p)
-        if not start & 1:
-            start += p
-        mask[(start - first) // 2:: p] = False
+    base = base[:int(np.searchsorted(base, math.isqrt(hi), side="right"))]
+    # each p crosses off from its first odd multiple >= max(p^2, first)
+    start = np.maximum(base * base, -(-first // base) * base)
+    start += (~start & 1) * base
+    start -= first
+    start //= 2
+    for s, p in zip(start.tolist(), base.tolist()):
+        mask[s:: p] = False
     out = np.flatnonzero(mask)
     out *= 2
     out += first
@@ -69,14 +74,14 @@ def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE, start: int = 2)
             f"sieve limit {limit} exceeds the memory budget cap {MAX_SIEVE_LIMIT}")
     if start <= 2:
         yield np.array([2], dtype=np.int64)
-    base = _base_primes(math.isqrt(limit))[1:].tolist()
+    base = _base_primes(math.isqrt(limit))[1:]
     for lo in range(max(start, 3), limit + 1, segment_size):
         yield _sieve_segment(lo, min(lo + segment_size - 1, limit), base)
 
 
 _cache_lock = threading.Lock()
-_cached_primes = np.empty(0, dtype=np.int64)
-_cached_class3 = np.empty(0, dtype=np.int64)
+_cached_primes = np.empty(0, dtype=np.uint32)
+_cached_class3 = np.empty(0, dtype=np.uint32)
 _cached_limit = 1
 
 
@@ -85,8 +90,19 @@ def _capacity(limit: int) -> int:
     return int(1.25506 * limit / math.log(limit)) + 1
 
 
+def store_key(v):
+    """`v` (an int, or an array of ints >= 0) as keys of the store's dtype,
+    clamped to 2^32 - 1.  np.searchsorted promotes the uint32 store to an
+    int or int64 key's dtype, and so copies all of it, on every call.  The
+    clamp keeps every count: 2^32 is a legal key at the cap, and no prime
+    equals it."""
+    if isinstance(v, np.ndarray):
+        return np.minimum(v, _KEY_MAX).astype(np.uint32)
+    return np.uint32(min(max(v, 0), _KEY_MAX))
+
+
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as a read-only ascending int64 array (cached)."""
+    """All primes <= limit as a read-only ascending uint32 array (cached)."""
     global _cached_primes, _cached_class3, _cached_limit
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceError(
@@ -98,7 +114,7 @@ def primes_upto(limit: int) -> np.ndarray:
             new_limit = min(max(limit, 2 * _cached_limit, 1 << 16), MAX_SIEVE_LIMIT)
             n, n3 = len(_cached_primes), len(_cached_class3)
             # untouched tails cost no memory; resize trims them in place
-            primes = np.empty(_capacity(new_limit), dtype=np.int64)
+            primes = np.empty(_capacity(new_limit), dtype=np.uint32)
             class3 = np.empty_like(primes)
             primes[:n] = _cached_primes
             class3[:n3] = _cached_class3
@@ -115,7 +131,7 @@ def primes_upto(limit: int) -> np.ndarray:
             primes.flags.writeable = False
             class3.flags.writeable = False
             _cached_primes, _cached_class3, _cached_limit = primes, class3, new_limit
-        cut = int(np.searchsorted(_cached_primes, limit, side="right"))
+        cut = int(np.searchsorted(_cached_primes, store_key(limit), side="right"))
         return _cached_primes[:cut]
 
 
@@ -128,7 +144,7 @@ def class3_upto(limit: int) -> np.ndarray:
     """All primes p <= limit with p % 4 == 3, ascending, read-only."""
     primes_upto(limit)
     with _cache_lock:
-        cut = int(np.searchsorted(_cached_class3, limit, side="right"))
+        cut = int(np.searchsorted(_cached_class3, store_key(limit), side="right"))
         return _cached_class3[:cut]
 
 

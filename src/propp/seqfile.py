@@ -65,23 +65,28 @@ _WRITE_CHUNK = 1 << 18
 
 
 def write_sequence(values: Iterable[int], stream: IO[str]) -> None:
-    """Write `values` one per line.  A strictly ascending, positive int64
-    array is formatted a block at a time; anything else value by value."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.int64
+    """Write `values` one per line.  A strictly ascending, positive int64 or
+    uint32 array is formatted a block at a time; anything else value by
+    value."""
+    if (isinstance(values, np.ndarray) and values.dtype in (np.int64, np.uint32)
             and values.ndim == 1 and bool(np.all(values[:1] > 0))
             and bool(np.all(values[1:] > values[:-1]))):
-        _write_int64(values, stream)
+        _write_array(values, stream)
         return
     for v in values:
         stream.write(f"{v}\n")
 
 
-def _write_int64(values: np.ndarray, stream: IO[str]) -> None:
-    """The lines of an ascending positive int64 array, grouped by digit
-    count: each block is an (n, d + 1) matrix of ASCII digits and newlines."""
-    # values below 10^d end at ends[d - 1]; computed here, not at import,
-    # where a numpy array raised the peak RSS of commands that never write
-    ends = np.searchsorted(values, 10 ** np.arange(1, 19, dtype=np.int64))
+def _write_array(values: np.ndarray, stream: IO[str]) -> None:
+    """The lines of an ascending positive int64 or uint32 array, grouped by
+    digit count: each block is an (n, d + 1) matrix of ASCII digits and
+    newlines."""
+    # values below 10^d end at ends[d - 1].  The keys take the array's dtype,
+    # or np.searchsorted would copy a uint32 array to int64; so only the
+    # powers of ten that dtype holds.  Computed here, not at import, where a
+    # numpy array raised the peak RSS of commands that never write
+    top = len(str(np.iinfo(values.dtype).max))
+    ends = np.searchsorted(values, 10 ** np.arange(1, top, dtype=values.dtype))
     ends = ends.tolist() + [len(values)]
     for digits, (lo, end) in enumerate(zip([0] + ends, ends), start=1):
         for start in range(lo, end, _WRITE_CHUNK):

@@ -442,7 +442,7 @@ EXIT_CONTRACT = [
     # x/3 + 1 elements, past the budget long before 1e20
     (["baseline", "--kind", "block", "--x", "1e20"], 2, None),
     (["baseline", "--kind", "block", "--x", "1e30"], 2, None),
-    # 101,641,840 class-3 primes at ~72 bytes each, counted before sieving
+    # 101,641,840 class-3 primes at ~60 bytes each, counted before sieving
     (["sieve", "--limit", "4294967296", "--emit", "json"], 2, None),
     # 75,939,612 squares at ~66 bytes each, counted the same way
     (["baseline", "--kind", "squares", "--limit", "1e19"], 2, None),

@@ -378,9 +378,9 @@ def test_bounds_report_small_truncations():
     assert failing == []
 
 
-# ru_maxrss is in KiB.  At the defaults the store holds ~69 MB of primes;
-# a prime-sized float temporary per grid point or per sum lifts the peak
-# to ~184 MB, one reused buffer per call keeps it near 141 MB
+# ru_maxrss is in KiB.  At the defaults the store holds ~35 MB of primes
+# (~69 MB as int64); a prime-sized float temporary per grid point or per sum
+# lifts the peak by ~45 MB, one reused buffer per call keeps it near 112 MB
 _COLD_PEAK = (
     "import contextlib, io, json, resource\n"
     "from propp.cli import main\n"
@@ -396,3 +396,15 @@ def test_default_truncations_peak_under_150_mb_cold(argv):
     code, all_passed, peak_kib = _cold(_COLD_PEAK.format(argv=argv))
     assert code == 0 and all_passed is True
     assert peak_kib < 150 * 1024
+
+
+def test_bounds_peak_under_125_mb_cold():
+    # the uint32 store took ~33 MB off the int64 store's ~144 MB
+    code, peak_kib = _cold(
+        "import contextlib, io, json, resource\n"
+        "from propp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['bounds'])\n"
+        "print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+    assert code == 0
+    assert peak_kib < 125 * 1024

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,8 +200,8 @@ def _written(values) -> str:
 
 def test_array_writer_matches_the_value_loop(monkeypatch):
     blocks = []
-    array_path = seqfile._write_int64
-    monkeypatch.setattr(seqfile, "_write_int64",
+    array_path = seqfile._write_array
+    monkeypatch.setattr(seqfile, "_write_array",
                         lambda values, stream: blocks.append(len(values))
                         or array_path(values, stream))
     edges = {1, 2 ** 63 - 1} | {10 ** d + e for d in range(1, 19) for e in (-1, 0)}
@@ -212,7 +213,17 @@ def test_array_writer_matches_the_value_loop(monkeypatch):
         values = list(values)
         assert _written(np.array(values, dtype=np.int64)) == \
             "".join(f"{v}\n" for v in values), values[:3]
-    assert len(blocks) == len(arrays)
+    # uint32 groups by the powers of ten it holds, 10^9 the last
+    top = 2 ** 32 - 1
+    arrays32 = [sorted({1, top} | {10 ** d + e for d in range(1, 10) for e in (-1, 0)}),
+                [999_999_999, 1_000_000_000, top], [1_000_000_000], [top],
+                range(top - chunk, top + 1, 7)]
+    for values in arrays32:
+        values = list(values)
+        assert _written(np.array(values, dtype=np.uint32)) == \
+            "".join(f"{v}\n" for v in values), values[:3]
+    assert len(blocks) == len(arrays) + len(arrays32)
+    blocks.clear()
     # the rest goes value by value, to the same bytes
     fallbacks = [np.array([5, 3, 9], dtype=np.int64), np.array([4, 4], dtype=np.int64),
                  np.array([0, 1, 2], dtype=np.int64), np.array([-7, 2], dtype=np.int64),
@@ -223,7 +234,25 @@ def test_array_writer_matches_the_value_loop(monkeypatch):
         assert _written(values) == "".join(f"{v}\n" for v in values)
     assert _written(v * v for v in range(1, 50)) == \
         "".join(f"{v * v}\n" for v in range(1, 50))
-    assert len(blocks) == len(arrays)
+    assert blocks == []
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_array_writer_formats_uint32_without_an_int64_copy():
+    # 16 MB of uint32 values past 10^9: an int64 copy of the array alone
+    # would take 32 MB; the writer's blocks of 2^18 values take ~10 MB
+    values = np.arange(2 ** 32 - 2 ** 22, 2 ** 32, dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        write_sequence(values, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes
 
 
 def test_sequence_file_format_errors():

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,13 +274,14 @@ def test_sieve_csv_at_1e8_cold(tmp_path):
         expected = json.load(fh)["sieve_csv"]["sha256"]
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
-    assert peak_kb < 190 * 1024
+    assert peak_kb < 100 * 1024
 
 
 def test_store_fill_at_1e8_holds_little_beyond_its_arrays():
     # a cold fill writes each segment into place: its peak RSS growth stays
-    # within 1.2x the two arrays it keeps (1.07x measured, 1.46x when the fill
-    # concatenated all segments and filtered class 3 at full length)
+    # within 1.2x the two arrays it keeps (1.13x measured on uint32 arrays,
+    # 1.07x on int64 ones, 1.46x when the fill concatenated all segments and
+    # filtered class 3 at full length)
     grown_kb, nbytes = _cold(
         "import json, resource\n"
         "from propp.primes import class3_upto, primes_upto\n"
@@ -287,8 +289,26 @@ def test_store_fill_at_1e8_holds_little_beyond_its_arrays():
         "n = primes_upto(10 ** 8).nbytes + class3_upto(10 ** 8).nbytes\n"
         "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
         "print(json.dumps([grown, n]))")
-    assert nbytes == 8 * (5_761_455 + 2_880_950)
+    assert nbytes == 4 * (5_761_455 + 2_880_950)  # uint32
     assert grown_kb * 1024 <= 1.2 * nbytes
+
+
+def test_warm_walk_never_copies_the_store():
+    # np.searchsorted promotes the uint32 store to an int or int64 key's
+    # dtype and copies it; the walk keys it with store_key, so each query
+    # allocates a few slices of primes <= sqrt(x), not the 11.5 MB store
+    primes_upto(10 ** 8)
+    assert class3_upto(10 ** 8).nbytes == 4 * 2_880_950
+    for query, args in ((pi_k_exact, (10 ** 9 + 7, 3)), (pi_k_exact, (10 ** 9 + 7, 4)),
+                        (count_s, (10 ** 16,))):
+        query(*args)  # whatever a first call builds is not the walk's
+        tracemalloc.start()
+        try:
+            query(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, (query.__name__, args, peak)
 
 
 @pytest.mark.parametrize("exclude_qi", [False, True])

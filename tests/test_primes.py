@@ -133,6 +133,18 @@ def test_store_grows_across_many_segments(monkeypatch):
     assert np.array_equal(class3_upto(3 * 10 ** 7), expected[(expected & 3) == 3])
 
 
+def test_store_is_uint32_and_its_keys_clamp():
+    assert primes_upto(100).dtype == np.uint32 and class3_upto(100).dtype == np.uint32
+    cap = primes.MAX_SIEVE_LIMIT
+    # 2^32 is a legal limit at the cap: its key clamps to 2^32 - 1, never wraps to 0
+    assert primes.store_key(cap) == cap - 1 and primes.store_key(10 ** 30) == cap - 1
+    assert primes.store_key(-3) == 0 and primes.store_key(7).dtype == np.uint32
+    keys = primes.store_key(np.array([1, 7, cap - 1, cap], dtype=np.int64))
+    assert keys.dtype == np.uint32 and keys.tolist() == [1, 7, cap - 1, cap - 1]
+    near_cap = np.array([3, 4_294_967_291], dtype=np.uint32)  # the last prime < 2^32
+    assert np.searchsorted(near_cap, keys, side="right").tolist() == [0, 1, 2, 2]
+
+
 def test_sieve_guards():
     with pytest.raises(DomainError):
         next(prime_segments(1))
