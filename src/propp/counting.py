@@ -4,12 +4,13 @@ prime factors all lie in the class 3 mod 4.
 pi_k(x;4,3) counts n <= x with omega(n) = Omega(n) = k and every p | n
 congruent 3 mod 4.  The exact count walks ascending tuples of k - 1
 class-3 primes with product pruning and counts the last factor in one
-lookup of pi(v;4,3) per tuple, where every v is some floor(x/m).  Those
-lookups read the prime store when it already covers them; otherwise a
-Lucy_Hedgehog table of pi(v;4,3) over all v = floor(x/m) answers them
-after sieving only to sqrt(x) (Lagarias-Miller-Odlyzko, Math. Comp. 44,
-1985).  The layers of the set S are counted through it as well
-(`count_s_i`, and `count_s` for all of them from one table).
+lookup of pi(v;4,3) per tuple, where every v is some floor(x/m) with m
+odd, a product of class-3 primes.  Those lookups read the prime store
+when it already covers them; otherwise a Lucy_Hedgehog table of
+pi(v;4,3) over those v answers them after sieving only to sqrt(x)
+(Lagarias-Miller-Odlyzko, Math. Comp. 44, 1985).  The layers of the set
+S are counted through it as well (`count_s_i`, and `count_s` for all of
+them from one table).
 The asymptotic side evaluates Landau's classical term
 
     x (log log x)^(k-1) / ((k-1)! log x)
@@ -32,12 +33,13 @@ from .errors import DomainError, ResourceError, require_int
 from .primes import class3_upto, nth_q, primes_upto, sieved_limit, store_key
 
 # One price for every class-3 count, in units of the Lucy table's work
-# x^(3/4) / ln x.  On a 2-vCPU VM the table took ~115 ns a unit at x = 10^12
-# (4.2 s, 106 MB) and ~130 ns at 10^13 (24.5 s, 303 MB for 1.9e8 units), so
-# the budget, ~26 s of table, admits x = 10^13 and refuses 1.1e14 (1.05e9).
+# x^(3/4) / ln x.  On a 2-vCPU VM the table took ~47 ns a unit at x = 10^12
+# (1.7 s, 70 MB) and ~53 ns at 10^13 (9.9 s, 149 MB for 1.9e8 units), so
+# the budget, ~10 s of table, admits x = 10^13 and refuses 1.1e14 (1.05e9).
 _WORK_BUDGET = 2 * 10 ** 8
 # A call of the walk's count_from in those units: 6.4 us a node on the same
-# VM (`pik --x 1e30 --k 17`, 1,866,853 nodes in 11.9 s) over ~130 ns a unit.
+# VM (`pik --x 1e30 --k 17`, 1,866,853 nodes in 11.9 s) over ~130 ns, a
+# table unit when the weight was set, so the walk stops after ~26 s.
 _NODE_WEIGHT = 49
 
 # established admissible constant for the corollary-window lower bound
@@ -72,22 +74,33 @@ def _icbrt(n: int) -> int:
     return c
 
 
-# (i, p) pairs that the batch phase of `_class3_counts` holds at once: at
-# 2^13 its temporaries stay below the first phase's peak at x = 10^10
+# (i, p) pairs that the batch phase of `_class3_counts` holds at once: 2^12
+# and 2^13 ran fastest at x = 10^10 and 10^11, and at 2^13 its temporaries
+# add ~0.2 MiB to the table's 4 MiB traced peak at 10^10 and none at 10^11
 _BATCH_PAIRS = 1 << 13
 
 
 def _class3_counts(x: int, primes: np.ndarray):
-    """pi(v;4,3) for every v = floor(x/m) and every v <= sqrt(x), as a
-    vectorised counter; `primes` must hold every prime <= sqrt(x).
+    """pi(v;4,3) for every v <= sqrt(x) and every v = floor(x/m) with m
+    odd, as a vectorised counter that raises ValueError for a v = x // m
+    past sqrt(x) with m even; `primes` must hold every prime <= sqrt(x).
 
     Lucy_Hedgehog's recurrence sums a completely multiplicative weight f
     over 2..v and sifts out the composites prime by prime:
-    S(v) -= f(p) (S(v // p) - S(p - 1)) for every v >= p^2.  Run on the
-    weights 1 and chi_4 it leaves pi(v) and sum_{p<=v} chi_4(p), and
-    pi(v;4,3) = (pi(v) - 1 - sum_{p<=v} chi_4(p)) / 2 for v >= 2.
+    S(v) -= f(p) (S(v // p) - S(p - 1)) for every v >= p^2.  Here S counts
+    odd n >= 3 only, as A(v) for n = 1 mod 4 and B(v) for n = 3 mod 4.
+    A + B and A - B are the sums of the weights chi_0 and chi_4, so an odd
+    prime p = 1 mod 4 subtracts (dA, dB) = (A(v // p) - A(p - 1),
+    B(v // p) - B(p - 1)) from (A(v), B(v)), a p = 3 mod 4 subtracts
+    (dB, dA), and at the end B(v) = pi(v;4,3).
 
-    The small entry v holds S(v) and the big entry i holds S(x // i).
+    Every v the walk asks for past sqrt(x) is x // m with m odd, so big
+    entry k holds [A, B] at x // i for the odd i = 2k + 1 only; its
+    update reads big entry i p, odd too.  S(2h) = S(2h - 1), so small
+    entry j holds [A, B] at the odd v = 2j - 1.  The p consecutive odd
+    v >= p^2 from p (2t + 1) on share S(v // p) = S(2t + 1), so a prime
+    sifts the small side with one broadcast subtract over rows of p.
+
     The sift runs in two phases.  Primes with p^3 <= x go one at a time
     in ascending order, each in a few array operations.  The primes
     above the cube root c = floor(x^(1/3)) then go in one batch: such a
@@ -95,75 +108,87 @@ def _class3_counts(x: int, primes: np.ndarray):
     entries i <= x // p^2 < p; it reads small entries and the big
     entries i p >= p > c.  So no batch prime writes an entry that
     another reads, every update sees S as the first phase left it, and
-    the batch applies in any order: one gather and one
-    `np.subtract.at` over all its (i, p) pairs, _BATCH_PAIRS at a time.
+    the batch applies in any order: gathers and one `np.subtract.at`
+    over all its (i, p) pairs, _BATCH_PAIRS at a time.
     """
+    def unsifted(v):  # rows A, B before any sift: the odd n >= 3 up to v by n mod 4
+        return np.stack([v - 1, v + 1]) >> 2
     r = math.isqrt(x)
-    small_v = np.arange(r + 1, dtype=np.int64)
-    big_v = x // np.maximum(small_v, 1)  # entry i >= 1 holds v = x // i
-    # S at the start: v - 1 for the weight 1; chi_4 sums to 1 over 1..v
-    # when v % 4 is 1 or 2 and to 0 otherwise
-    chi_sums = [np.isin(v & 3, (1, 2)).astype(np.int64) - 1 for v in (small_v, big_v)]
-    sums = [(small_v - 1, big_v - 1), tuple(chi_sums)]
-    # int64: batch * batch below overflows the store's uint32
-    primes = primes[: int(np.searchsorted(primes, store_key(r), side="right"))].astype(np.int64)
+    small = unsifted(np.arange(-1, r + 1, 2))  # small entry j: v = 2j - 1
+    small[0, 0] = 0                             # A(-1): no n at all
+    big_v = x // np.arange(1, r + 1, 2)         # big entry k: v = x // (2k + 1)
+    big = unsifted(big_v)
+    # the odd primes <= r; int64: batch * batch below overflows the store's uint32
+    primes = primes[1: int(np.searchsorted(primes, store_key(r), side="right"))].astype(np.int64)
     cut = int(np.searchsorted(primes, _icbrt(x), side="right"))
+    reads, delta = np.empty_like(big_v), np.empty_like(big_v)  # reused by every prime
     for p in primes[:cut].tolist():
-        top = min(r, x // (p * p))   # entries v = x // i >= p^2
-        inner = min(top, r // p)     # i p <= r: x // (i p) is big entry i p
-        outer = big_v[inner + 1: top + 1] // p  # x // (i p), by scalar division
-        sift = small_v[p * p:] // p if p * p <= r else None
-        chi = 0 if p == 2 else (1 if p & 3 == 1 else -1)
-        for (small, big), f in zip(sums, (1, chi)):
-            if not f:
-                continue
-            update = np.subtract if f > 0 else np.add
-            before = small[p - 1]
-            # every read sees S before this prime: big first, then small
-            update(big[1: inner + 1], big[p: inner * p + 1: p] - before,
-                   out=big[1: inner + 1])
-            update(big[inner + 1: top + 1], small[outer] - before,
-                   out=big[inner + 1: top + 1])
-            if sift is not None:
-                update(small[p * p:], small[sift] - before, out=small[p * p:])
+        h = p >> 1                       # S(p - 1) = S(p - 2) is small entry h
+        top = (min(r, x // (p * p)) + 1) >> 1  # entries k < top: x // i >= p^2
+        inner = (r // p + 1) >> 1        # k < inner: i p <= r, big entry k p + h
+        first = (p * p + 1) >> 1         # small entry of v = p^2
+        rows, rest = divmod(max(small.shape[1] - first, 0), p)
+        ab = slice(None, None, -1 if p & 3 == 3 else 1)  # p = 3 mod 4: dA off B, dB off A
+        # the deltas where reads and writes meet, taken before any write;
+        # row t of p small entries from `first` on reads small entry h + 1 + t
+        deltas = [(b[h: p * inner: p] - s[h], s[h + 1: h + rows + 2] - s[h])
+                  for b, s in zip(big[ab], small[ab])]
+        # k >= inner reads small entry (x // (i p) + 1) >> 1, before the small writes
+        at, d = reads[: top - inner], delta[: top - inner]
+        np.floor_divide(np.add(big_v[inner:top], p, out=at), 2 * p, out=at)
+        for b, s in zip(big, small[ab]):
+            np.take(s, at, out=d, mode="clip")  # every index is in range: "clip" skips
+            d -= s[h]                           # the copy that "raise" makes of `out`
+            b[inner:top] -= d
+        for b, s, (d_in, d_small) in zip(big, small, deltas):
+            b[:inner] -= d_in
+            body = s[first: first + rows * p].reshape(rows, p)  # a view
+            body -= d_small[:rows, None]
+            if rest:
+                s[first + rows * p:] -= d_small[rows]
     batch = primes[cut:]
-    tops = x // (batch * batch)      # pairs (i, p) for i = 1..x // p^2
+    tops = (x // (batch * batch) + 1) >> 1  # pairs (k, p) for odd 2k + 1 <= x // p^2
     ends = np.cumsum(tops)
-    chis = 2 - (batch & 3)           # chi_4(p) = 1, 0, -1 for p % 4 = 1, 2, 3
     total = int(tops.sum())
+    n = big.shape[1]
+    flat = big.reshape(-1)               # A of big entry k at k, B at n + k
     for start in range(0, total, _BATCH_PAIRS):
         pair = np.arange(start, min(start + _BATCH_PAIRS, total), dtype=np.int64)
         at = np.searchsorted(ends, pair, side="right")  # the pair's prime
-        i = pair - ends[at] + tops[at] + 1
+        k = pair - ends[at] + tops[at]
         p = batch[at]
-        ip = i * p
+        ip = (2 * k + 1) * p
         inner = np.flatnonzero(ip <= r)
-        outer = np.minimum(big_v[i] // p, r)
-        for (small, big), f in zip(sums, (1, chis[at])):
-            # S(x // (i p)): the big entry i p while i p <= r, else small
-            delta = small[outer]
-            delta[inner] = big[ip[inner]]
-            delta -= small[p - 1]
-            delta *= f
-            np.subtract.at(big, i, delta)
-    (small, big), (small_chi, big_chi) = sums
-    small_c3 = np.maximum((small - 1 - small_chi) // 2, 0)
-    big_c3 = np.maximum((big - 1 - big_chi) // 2, 0)
+        outer = np.minimum((big_v[k] + p) // (2 * p), small.shape[1] - 1)
+        deltas = []
+        for b, s in zip(big, small):
+            # S(x // (i p)): the big entry of i p while i p <= r, else small
+            d = s[outer]
+            d[inner] = b[ip[inner] >> 1]
+            d -= s[p >> 1]
+            deltas.append(d)
+        # dA goes to A for p = 1 mod 4 and to B for p = 3 mod 4, dB to the other
+        swap = n * ((p >> 1) & 1)
+        np.subtract.at(flat, np.concatenate([k + swap, k + n - swap]), np.concatenate(deltas))
+    small_c3, big_c3 = small[1], big[1]
 
     def count(v):
         v = np.asarray(v, dtype=np.int64)
-        return np.where(v <= r, small_c3[np.minimum(v, r)],
-                        big_c3[x // np.maximum(v, r + 1)])
+        below = v <= r
+        m = x // np.where(below, x, v)   # v = x // m past sqrt(x)
+        if not (m & 1).all():
+            raise ValueError(f"the pi(v;4,3) table for x = {x} holds no x // m with m even")
+        return np.where(below, small_c3[(np.minimum(v, r) + 1) >> 1], big_c3[m >> 1])
     return count
 
 
 def _class3_counter(x: int, k: int):
-    """(class-3 primes, pi(v;4,3) for every v = floor(x/m)) for the walk of
-    pi_k(x;4,3), or None once q_1...q_k > x: the store when it covers the
-    largest leaf L = x // (q_1...q_{k-1}), else the cheaper within
-    _WORK_BUDGET of a Lucy_Hedgehog table for x (sieving to sqrt(x)) and the
-    store filled to L, a unit an integer: ~3 ns of sieve, but ~0.7 byte of
-    store (70 MB at 10^8) against ~2 bytes a table unit (106 MB at 10^12)."""
+    """(class-3 primes, pi(v;4,3) for every v = floor(x/m), m odd) for the
+    walk of pi_k(x;4,3), or None once q_1...q_k > x: the store when it
+    covers the largest leaf L = x // (q_1...q_{k-1}), else the cheaper
+    within _WORK_BUDGET of a Lucy_Hedgehog table for x (sieving to sqrt(x))
+    and the store filled to L, a unit an integer: ~3 ns of sieve, but ~0.7 byte of
+    store (70 MB at 10^8) against ~1.9 bytes a table unit (70 MB at 10^12)."""
     smallest: list[int] = []
     for j in range(1, k + 1):
         smallest.append(nth_q(j))
@@ -188,7 +213,8 @@ def pi_k_exact(x: int, k: int) -> int:
 
 
 def _pi_k(x: int, k: int, counter) -> int:
-    """pi_k(x;4,3) through `counter`, which must answer every floor(x/m);
+    """pi_k(x;4,3) through `counter`, which must answer every floor(x/m)
+    with m odd (every m the walk divides by is a product of odd primes);
     None, which `_class3_counter` returns once q_1...q_k > x, counts 0.
     The walk raises ResourceError once its nodes pass _WORK_BUDGET."""
     if counter is None:
@@ -231,8 +257,8 @@ def nu_bound(i: int, limit: int) -> int:
 
 def _layer(i: int, n: int, exclude_qi: bool, counter) -> int:
     """|S_i ∩ [1, limit]|, pi_i(N;4,3) for N = n = nu_bound(i, limit), through
-    a `counter` that answers every floor(n/m).  With `exclude_qi` the nu
-    divisible by q_i come off by inclusion-exclusion on q_i:
+    a `counter` that answers every floor(n/m) with m odd.  With `exclude_qi`
+    the nu divisible by q_i come off by inclusion-exclusion on q_i:
     sum_t (-1)^t pi_{i-t}(N / q_i^t;4,3), with pi_0 = 1."""
     q = nth_q(i)
     total, sign = 0, 1
@@ -256,8 +282,9 @@ def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
 def count_s(limit: int, exclude_qi: bool = False) -> tuple[int, dict[int, int]]:
     """(pi_1(sqrt(limit);4,3), {i: |S_i ∩ [1, limit]|}) from one counter for
     X = isqrt(limit): isqrt(limit // q_i^4) = X // q_i^2, so every budget
-    of every layer's count is some floor(X/m).  Each layer's least element
-    exceeds the one before it, so the layers end at the first empty one."""
+    of every layer's count is some floor(X/m) with m odd.  Each layer's
+    least element exceeds the one before it, so the layers end at the
+    first empty one."""
     x = math.isqrt(require_int("limit", limit))
     counter = _class3_counter(x, 1)
     per_index, i = {}, 1

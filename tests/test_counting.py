@@ -118,8 +118,9 @@ def _cold(code: str):
 def test_class3_table_matches_the_store():
     for x in list(range(1, 21)) + [24, 25, 26, 10 ** 4, 999_983, 10 ** 6, 10 ** 7]:
         r = math.isqrt(x)
-        # x // m for m <= r, then every v <= r: all x // m and all v <= sqrt(x)
-        vs = np.array(sorted({x // m for m in range(1, r + 1)} | set(range(1, r + 1))),
+        # x // m for odd m <= r, then every v <= r: the table answers every
+        # v <= sqrt(x) and x // m for odd m
+        vs = np.array(sorted({x // m for m in range(1, r + 1, 2)} | set(range(r + 1))),
                       dtype=np.int64)
         count = _class3_counts(x, primes_upto(r))
         want = np.searchsorted(class3_upto(x), vs, side="right")
@@ -140,8 +141,10 @@ def test_class3_table_matches_the_store():
 
 
 def _per_prime_class3_counts(x, primes):
-    """`_class3_counts` as it was before the batch phase: every prime
-    p <= sqrt(x) sifts the tables on its own, in ascending order."""
+    """`_class3_counts` as it was before the batch phase and the odd-only
+    entries: every prime p <= sqrt(x) sifts the full tables on its own, in
+    ascending order, with the weights 1 and chi_4.  It answers x // m for
+    every m, so it is the oracle on every entry the table covers."""
     r = math.isqrt(x)
     small_v = np.arange(r + 1, dtype=np.int64)
     big_v = x // np.maximum(small_v, 1)  # entry i >= 1 holds v = x // i
@@ -179,9 +182,9 @@ def _per_prime_class3_counts(x, primes):
 
 
 def _tables(count, x):
-    """Every entry of a counter's tables: v <= sqrt(x), then x // m."""
+    """Every entry of the table: v <= sqrt(x), then x // m for odd m."""
     r = math.isqrt(x)
-    return count(np.arange(r + 1)), count(x // np.arange(1, r + 1))
+    return count(np.arange(r + 1)), count(x // np.arange(1, r + 1, 2))
 
 
 def _assert_tables_match(xs):
@@ -206,10 +209,51 @@ def test_class3_table_matches_the_per_prime_sift():
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_class3_batch_chunk_edges(chunk, monkeypatch):
-    # chunk edges fall inside one prime's pairs (i, p), i = 1..x // p^2
+    # chunk edges fall inside one prime's pairs (i, p), odd i <= x // p^2
     monkeypatch.setattr(counting, "_BATCH_PAIRS", chunk)
     _assert_tables_match(list(range(1, 400)) + [101 ** 3 - 1, 101 ** 3, 101 ** 3 + 1,
                                                 10 ** 7 + 1])
+
+
+def test_class3_table_refuses_an_even_m():
+    # past sqrt(x) the table holds x // m for odd m only; v past x is x // 0
+    x = 10 ** 6 + 7
+    count = _class3_counts(x, primes_upto(math.isqrt(x)))
+    class3 = class3_upto(x)
+    for v in (x, x // 3, [x // 999, 1000, 0], 1001):  # 1000 <= sqrt(x) < 1001 = x // 999
+        assert count(v).tolist() == np.searchsorted(class3, v, side="right").tolist()
+    for v in (x // 2, x // 998, [x, x // 4], x + 1):
+        with pytest.raises(ValueError, match="m even"):
+            count(v)
+
+
+def test_every_walk_query_is_answerable(monkeypatch):
+    # past sqrt(x), pi_k_exact and count_s ask a table for x // m with m odd
+    # only, and the counts match the store's
+    asked = []
+
+    def counter(x, k):
+        r = math.isqrt(x)
+        table = _class3_counts(x, primes_upto(r))
+
+        def count(v):
+            asked.append((x, np.array(v, dtype=np.int64, ndmin=1)))
+            return table(v)
+        return class3_upto(r), count
+    primes_upto(10 ** 8)  # the counts before the patch come from the store
+    pik = {(x, k): pi_k_exact(x, k) for x in (10 ** 3, 999_983, 10 ** 6, 3 * 10 ** 6 + 7,
+                                              10 ** 8 - 1) for k in range(1, 6)}
+    s = {(limit, e): count_s(limit, e) for limit in (10 ** 12, 10 ** 13 + 1, 99_999_999 ** 2)
+         for e in (False, True)}
+    monkeypatch.setattr(counting, "_class3_counter", counter)
+    assert {key: pi_k_exact(*key) for key in pik} == pik
+    assert {key: count_s(*key) for key in s} == s
+    big = 0
+    for x, vs in asked:
+        vs = vs[vs > math.isqrt(x)]
+        assert (x // (x // vs) == vs).all() and (x // vs % 2 == 1).all(), x
+        big += len(vs)
+    assert big > 1000
 
 
 def test_pi_k_matches_bench_pins_at_1e10():
@@ -260,6 +304,19 @@ def test_pi_k_memory_stays_small():
         "print(json.dumps([v, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
     assert value == 215_734_418
     assert peak_kb < 150 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_count_s_at_1e24_stays_under_90_mb_cold():
+    # one odd-only table for X = 10^12: 66 MB peak measured, 107 MB when the
+    # table held every x // m and both weights' sums
+    counts, peak_kb = _cold(
+        "import json, resource\n"
+        "from propp.counting import count_s\n"
+        "baseline, per_index = count_s(10 ** 24)\n"
+        "print(json.dumps([[baseline, sum(per_index.values())],"
+        " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+    assert counts == [18_803_987_677, 3_186_110_367]
+    assert peak_kb < 90 * 1024
 
 
 def test_sieve_csv_at_1e8_cold(tmp_path):
