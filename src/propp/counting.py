@@ -146,6 +146,7 @@ def _class3_counts(x: int, primes: np.ndarray):
             body -= d_small[:rows, None]
             if rest:
                 s[first + rows * p:] -= d_small[rows]
+    del reads, delta  # the batch needs neither: freed before the B rows are copied
     batch = primes[cut:]
     tops = (x // (batch * batch) + 1) >> 1  # pairs (k, p) for odd 2k + 1 <= x // p^2
     ends = np.cumsum(tops)
@@ -170,7 +171,8 @@ def _class3_counts(x: int, primes: np.ndarray):
         # dA goes to A for p = 1 mod 4 and to B for p = 3 mod 4, dB to the other
         swap = n * ((p >> 1) & 1)
         np.subtract.at(flat, np.concatenate([k + swap, k + n - swap]), np.concatenate(deltas))
-    small_c3, big_c3 = small[1], big[1]
+    # copies, so the counter does not keep the A rows alive through the walk
+    small_c3, big_c3 = small[1].copy(), big[1].copy()
 
     def count(v):
         v = np.asarray(v, dtype=np.int64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,7 +192,21 @@ def test_truncated_sums_do_not_move_when_the_store_grows(monkeypatch):
     assert mertens_m34(10 ** 5).value == before
 
 
-@pytest.mark.parametrize("plimit", [10 ** 4, 10 ** 5, 10 ** 6])
+_LEAF = constants._LEAF
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129,
+                               _LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 5])
+def test_tree_sums_equal_np_sum_bit_for_bit(n):
+    # a numpy whose pairwise split differs fails here, not in the output bits
+    values = np.random.default_rng(n).standard_normal(n) * 1e3
+    sums = constants._tree_sums(values, [lambda v, out: v,
+                                         lambda v, out: np.divide(1.0, v, out=out)])
+    assert sums == [float(np.sum(values)), float(np.sum(1.0 / values))]
+
+
+# 10^7: 664,579 primes, a tree of several leaves
+@pytest.mark.parametrize("plimit", [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7])
 def test_one_buffer_sums_equal_the_per_point_expressions(plimit):
     p, q = primes.primes_upto(plimit), primes.class3_upto(plimit)
     xs = _grid(*BOUND_WINDOW) + [0.0, 1.0, 2.0]
@@ -236,6 +251,20 @@ def test_bounds_report_reads_the_class3_store_once_per_truncation_and_grid(
     # f and the product for h''(1/3), which the corollary constant reuses.
     # 10^4: lambda/p^2.
     assert sorted(reads) == [10 ** 4] + [10 ** 5] * 5 + [10 ** 6] * 2
+
+
+def test_bounds_report_makes_no_prime_length_float_array():
+    # any float64 array over the 664,579 primes up to 10^7 is 5.3 MB; the
+    # leaves of the prime sums take 1 MiB (5.4 MB when they were one buffer)
+    primes.primes_upto(10 ** 7)
+    constants._truncation_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        bounds_report(10 ** 7, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, peak
 
 
 # -------------------------------------------------------------- h family
@@ -378,9 +407,9 @@ def test_bounds_report_small_truncations():
     assert failing == []
 
 
-# ru_maxrss is in KiB.  At the defaults the store holds ~35 MB of primes
-# (~69 MB as int64); a prime-sized float temporary per grid point or per sum
-# lifts the peak by ~45 MB, one reused buffer per call keeps it near 112 MB
+# ru_maxrss is in KiB.  At the defaults the store holds ~35 MB of uint32
+# primes and the prime sums ~1 MiB of leaves: 70-74 MB measured, against
+# 108-112 MB with one prime-length float buffer per call
 _COLD_PEAK = (
     "import contextlib, io, json, resource\n"
     "from propp.cli import main\n"
@@ -392,14 +421,13 @@ _COLD_PEAK = (
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--emit", "json"], ["constants"]])
-def test_default_truncations_peak_under_150_mb_cold(argv):
+def test_default_truncations_peak_under_90_mb_cold(argv):
     code, all_passed, peak_kib = _cold(_COLD_PEAK.format(argv=argv))
     assert code == 0 and all_passed is True
-    assert peak_kib < 150 * 1024
+    assert peak_kib < 90 * 1024
 
 
-def test_bounds_peak_under_125_mb_cold():
-    # the uint32 store took ~33 MB off the int64 store's ~144 MB
+def test_bounds_peak_under_90_mb_cold():
     code, peak_kib = _cold(
         "import contextlib, io, json, resource\n"
         "from propp.cli import main\n"
@@ -407,4 +435,4 @@ def test_bounds_peak_under_125_mb_cold():
         "    code = main(['bounds'])\n"
         "print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
     assert code == 0
-    assert peak_kib < 125 * 1024
+    assert peak_kib < 90 * 1024

@@ -227,6 +227,23 @@ def test_class3_table_refuses_an_even_m():
             count(v)
 
 
+def test_class3_counter_holds_only_its_b_rows():
+    # the counter keeps pi(v;4,3) for the small and the big entries and lets
+    # the sift's two-row arrays go: 2.0x the B rows when it held views of them
+    x = 10 ** 10
+    r = math.isqrt(x)
+    primes = primes_upto(r)
+    b_rows = 8 * (len(range(-1, r + 1, 2)) + len(range(1, r + 1, 2)))
+    tracemalloc.start()
+    try:
+        count = _class3_counts(x, primes)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * b_rows, (held, b_rows)
+    assert int(count(x)) == 227_529_235  # pi(10^10;4,3)
+
+
 def test_every_walk_query_is_answerable(monkeypatch):
     # past sqrt(x), pi_k_exact and count_s ask a table for x // m with m odd
     # only, and the counts match the store's
