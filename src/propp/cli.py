@@ -148,17 +148,21 @@ def cmd_sieve(args, out) -> int:
 def cmd_construct(args, out) -> int:
     if args.all == (args.set_index is not None):
         raise PropPError("exactly one of --set-index and --all is required")
-    elements = (construct.enumerate_s(args.limit, args.exclude_qi) if args.all else
-                construct.enumerate_s_i(args.set_index, args.limit, args.exclude_qi))
     if args.emit == "json":
+        elements = (construct.enumerate_s(args.limit, args.exclude_qi) if args.all else
+                    construct.enumerate_s_i(args.set_index, args.limit, args.exclude_qi))
         _dump_json({
             "limit": args.limit,
             "exclude_qi": args.exclude_qi,
             "count": len(elements),
             "elements": [asdict(e) for e in elements],
         }, out)
-    else:
-        seqfile.write_sequence((e.value for e in elements), out)
+        return 0
+    roots = (construct.s_roots(args.limit, args.exclude_qi) if args.all else
+             construct.s_i_roots(args.set_index, args.limit, args.exclude_qi)[0])
+    # roots below 2^31 square within int64, which the array writer formats
+    small = roots.dtype != object and all(roots[-1:] < 1 << 31)
+    seqfile.write_sequence(roots * roots if small else (r * r for r in roots.tolist()), out)
     return 0
 
 

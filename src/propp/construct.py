@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import window_params_from_logs
 from .counting import count_s, count_s_i, nu_bound, pi_k_exact
 from .errors import checked_log, require_fits, require_int
-from .primes import class3_upto, nth_q
+from .primes import class3_upto, nth_q, store_key
 
 # Materialised, an element of S costs ~800 bytes at most: `construct --all
 # --emit json` peaked at 403 MB for the 483,065 elements below 10^16 (~770
@@ -64,61 +66,80 @@ def max_set_index(limit: int, exclude_qi: bool = False) -> int:
 def enumerate_s_i(i: int, limit: int, exclude_qi: bool = False) -> list[SetElement]:
     """All elements of S_i up to `limit`, ascending by value; counted first,
     so past the memory budget ResourceError comes before the walk."""
-    require_int("set index", i)
-    require_int("limit", limit)
+    return _elements(i, *s_i_roots(i, limit, exclude_qi))
+
+
+def s_i_roots(i: int, limit: int, exclude_qi: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """`layer_roots`, counted first at S_ELEMENT_BYTES an element."""
     require_fits(f"S_{i} up to {limit}", count_s_i(i, limit, exclude_qi), S_ELEMENT_BYTES)
-    return _walk_layer(i, limit, exclude_qi)
+    return layer_roots(i, limit, exclude_qi)
 
 
-def _walk_layer(i: int, limit: int, exclude_qi: bool) -> list[SetElement]:
-    """`enumerate_s_i` once the layer is counted."""
+def _elements(i: int, roots: np.ndarray, rows: np.ndarray) -> list[SetElement]:
+    return [SetElement(r * r, i, tuple(f)) for r, f in zip(roots.tolist(), rows.tolist())]
+
+
+def layer_roots(i: int, limit: int, exclude_qi: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(the roots q_i^2 nu of S_i up to `limit`, ascending: int64, or Python
+    ints once one could pass 2^63; the (n, i) rows of nu's primes), not
+    counted first.  Each pass appends to every prefix P of nu, with `need`
+    primes to go, each later p with P p^need <= nu_max at once."""
     q = nth_q(i)
-    q4 = q ** 4
     nu_max = nu_bound(i, limit)
-    if nu_max == 0:
-        return []
+    smallest = _smallest_nu_primes(i, exclude_qi)
+    if math.prod(smallest) > nu_max:
+        return np.zeros(0, np.int64), np.zeros((0, i), np.uint32)
     # the largest factor of any admissible nu divides out the i-1 smallest
     # admissible primes, so the sieve never needs to reach nu_max itself
-    prime_cap = nu_max // math.prod(_smallest_nu_primes(i, exclude_qi)[:-1])
-    primes = [p for p in map(int, class3_upto(prime_cap))
-              if not exclude_qi or p != q]
-    out: list[SetElement] = []
-    chosen: list[int] = []
+    primes = class3_upto(nu_max // math.prod(smallest[:-1]))
+    if exclude_qi:
+        primes = primes[primes != q]
+    dtype = np.int64 if q * q * nu_max < 1 << 63 else object
+    prods, last, rows = np.ones(1, dtype), np.full(1, -1), np.zeros((1, 0), np.uint32)
+    for need in range(i, 0, -1):
+        budget = nu_max // prods
+        if need == 1:
+            cap = store_key(budget)
+        else:  # one above the float root (math.log takes any int): a prefix
+            # past P p^need <= nu_max gets no last factor, which is exact
+            cap = store_key(np.exp(np.array([math.log(b) for b in budget.tolist()]) / need) + 1)
+        counts = np.maximum(np.searchsorted(primes, cap, side="right") - last - 1, 0)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        last = np.arange(len(owner)) + np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
+        prods = prods[owner] * primes[last].astype(dtype)
+        rows = np.column_stack([rows[owner], primes[last]])
+    order = np.argsort(prods, kind="stable")
+    return q * q * prods[order], rows[order]
 
-    def walk(start: int, prod: int) -> None:
-        need = i - len(chosen)
-        if need == 0:
-            out.append(SetElement(q4 * prod * prod, i, tuple(chosen)))
-            return
-        for idx in range(start, len(primes)):
-            p = primes[idx]
-            # smallest possible completion uses p for every remaining slot
-            if prod * p ** need > nu_max:
-                break
-            chosen.append(p)
-            walk(idx + 1, prod * p)
-            chosen.pop()
 
-    walk(0, 1)
-    out.sort(key=lambda e: e.value)
-    return out
+def s_roots(limit: int, exclude_qi: bool = False, root_bytes: int = S_ELEMENT_BYTES) -> np.ndarray:
+    """The roots of S up to `limit`, ascending; counted first, so past the
+    memory budget at `root_bytes` a root ResourceError comes before any."""
+    return _ascending([roots for _, roots, _ in _layers(limit, exclude_qi, root_bytes)])
 
 
 def enumerate_s(limit: int, exclude_qi: bool = False) -> list[SetElement]:
     """The union of all layers up to `limit`, ascending, duplicate-free;
     counted first, so past the memory budget ResourceError comes first."""
+    layers = list(_layers(limit, exclude_qi, S_ELEMENT_BYTES))
+    _ascending([roots for _, roots, _ in layers])  # the layers are disjoint
+    return sorted((e for layer in layers for e in _elements(*layer)), key=lambda e: e.value)
+
+
+def _layers(limit: int, exclude_qi: bool, root_bytes: int):
+    """(i, *layer_roots(i, ...)) for each layer of S up to `limit`, counted first."""
     layers = count_s(limit, exclude_qi)[1]
-    require_fits(f"S up to {limit}", sum(layers.values()), S_ELEMENT_BYTES)
-    merged: list[SetElement] = []
+    require_fits(f"S up to {limit}", sum(layers.values()), root_bytes)
     for i in layers:
-        merged.extend(_walk_layer(i, limit, exclude_qi))
-    merged.sort(key=lambda e: e.value)
-    for a, b in zip(merged, merged[1:]):
-        if a.value == b.value:
-            raise AssertionError(
-                f"indicator uniqueness violated: {a.value} in layers "
-                f"{a.set_index} and {b.set_index}")
-    return merged
+        yield (i, *layer_roots(i, limit, exclude_qi))
+
+
+def _ascending(parts: list) -> np.ndarray:
+    """`parts` in one ascending array, where the indicator q_i^4 lets no root repeat."""
+    roots = np.sort(np.concatenate([np.zeros(0, np.int64), *parts]))
+    if np.any(roots[1:] == roots[:-1]):
+        raise AssertionError(f"indicator uniqueness violated: a root repeats in {roots}")
+    return roots
 
 
 def baseline_squares(limit: int) -> list[int]:

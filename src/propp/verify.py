@@ -15,11 +15,13 @@ Then r^2 divides x^2 + y^2 exactly when r divides both x and y:
   2^{2f} | x^2 + y^2 exactly when 2^f divides x and y.
 
 So a square pair (a_j, a_k) is a witness for i exactly when r divides
-both roots: the scan asks whether two later square roots are multiples
-of r, walking r's multiples through a set of the roots or testing the
-tail roots, whichever is shorter.  A pair touching a non-square a_t
-needs residues: a_k = -a_t (mod a_i) with k != t, one lookup per
-non-square over the tail residues.
+both roots.  Array passes decide the lattice indices before the loop: each
+root r's multiples c r (c >= 2) are looked up in the sorted roots (or, when
+they outnumber the tail, the tail is reduced mod r); a pair with a
+non-square a_t needs a_k = m a_i - a_t, k != t, for m a_i in [a_{i+1} +
+a_t, a_{n-1} + a_t], looked up in the sequence unless the m outnumber the
+tail, which leaves i undecided.  The loop visits the other live indices,
+the undecided and the flagged.
 
 Every outer index is planned before the scan: skipped when no multiple
 of a_i lies in [a_{i+1} + a_{i+2}, a_{n-2} + a_{n-1}], where every pair
@@ -36,12 +38,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .construct import enumerate_s
+from .construct import s_roots
 from .errors import ResourceError, require_int
 from .primes import IS_PRIME_EXACT_BELOW, is_prime, primes_upto
 from .seqfile import validate_sequence
@@ -138,8 +139,9 @@ def _lattice_roots(roots: np.ndarray) -> list[bool]:
     at = np.arange(len(cof))  # positions of the roots still in play
     done = np.empty_like(cof)  # cofactors of the roots out of play
     proven = np.ones(len(cof), dtype=bool)
-    bound = min(math.isqrt(int(cof[-1])), _LATTICE_TRIAL_BOUND)
-    for p in primes_upto(bound).tolist():
+    cof //= cof & -cof  # the odd part: a factor 2 never bars the lattice
+    bound = min(math.isqrt(int(roots[-1])), _LATTICE_TRIAL_BOUND)
+    for p in primes_upto(bound).tolist()[1:]:
         out = cof < p * p
         if out.any():
             done[at[out]] = cof[out]
@@ -185,25 +187,65 @@ def _pair_exists(res: np.ndarray, ai: int) -> bool:
     return bool(np.any(match & ((w != u) | (c > 1))))
 
 
-def _non_square_pair_exists(res: np.ndarray, ns: np.ndarray, ai: int) -> bool:
-    """Is res[t] + res[k] = 0 mod ai for a non-square tail position t in
-    `ns` and some k != t?  One pass over the tail per t."""
-    for t in ns.tolist():
-        rt = int(res[t])
-        want = (ai - rt) % ai
-        if np.count_nonzero(res == want) > (rt == want):
-            return True
-    return False
+# candidates looked up at once, bounding the scan's working arrays: `verify`
+# on S <= 10^14 peaked at 46.6 MB with 2^16 and 56.1 MB with 2^18 (45.5 before)
+_LOOKUP_BLOCK = 1 << 16
 
 
-def _two_multiples(r: int, after: int, root_set: set, roots_np: np.ndarray) -> bool:
-    """Are at least two of the square roots roots_np[after:] multiples of r?"""
-    top = int(roots_np[-1])
-    if top // r <= len(roots_np) - after:
-        # c*r with c >= 2 exceeds r, so its square lies past a_i = r^2
-        hits = (c for c in range(2 * r, top + 1, r) if c in root_set)
-        return next(islice(hits, 1, None), None) is not None
-    return int(np.count_nonzero(roots_np[after:] % r == 0)) >= 2
+def _count_hits(counts: np.ndarray, candidate, table: np.ndarray) -> np.ndarray:
+    """How many of candidate(o, 0 .. counts[o] - 1) lie in the ascending
+    `table`, for each owner o; one searchsorted per _LOOKUP_BLOCK candidates."""
+    ends = np.cumsum(counts)
+    hits = np.zeros(len(counts), dtype=np.int64)
+    for start in range(0, int(ends[-1]) if len(ends) else 0, _LOOKUP_BLOCK):
+        flat = np.arange(start, min(start + _LOOKUP_BLOCK, int(ends[-1])))
+        owner = np.searchsorted(ends, flat, side="right")
+        values = candidate(owner, flat - ends[owner] + counts[owner])
+        found = table[np.minimum(np.searchsorted(table, values), len(table) - 1)] == values
+        lo, hi = owner[0], owner[-1] + 1  # a block's owners are a run: count only there
+        hits[lo:hi] += np.bincount(owner[found] - lo, minlength=hi - lo)
+    return hits
+
+
+def _two_multiples(roots: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Are two of roots[t + 1:] multiples of r = roots[t], for each t in `at`?
+    Walks c r, 2 <= c <= max root // r, where fewer than the tail, else
+    reduces the tail mod r, in blocks of rows (all at once if they fit one)."""
+    r = roots[at]
+    # no root before r is its multiple, so each row below counts r itself too
+    if len(at) * len(roots) <= _LOOKUP_BLOCK:
+        return (roots[at[0]:] % r[:, None] == 0).sum(axis=1) >= 3
+    walks = np.minimum(roots[-1] // r, len(roots)).astype(np.int64) - 1  # clip, then int64
+    long = walks >= len(roots) - 1 - at
+    out = _count_hits(np.where(long, 0, walks), lambda o, c: (c + 2) * r[o], roots) >= 2
+    red, step = np.flatnonzero(long), max(1, _LOOKUP_BLOCK // len(roots))
+    for k in (red[start:start + step] for start in range(0, len(red), step)):
+        out[k] = (roots[at[k[0]]:] % r[k, None] == 0).sum(axis=1) >= 3
+    return out
+
+
+def _non_square_pairs(a_np: np.ndarray, at: np.ndarray, ns_np: np.ndarray,
+                      ns_upto: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(found, undecided) for each i in `at`, each with non-squares t > i at
+    the positions `ns_np`: is some a_k = m a_i - a_t, k != t, in the
+    sequence?  Undecided where the m outnumber i's tail."""
+    n = len(a_np)
+    per = ns_upto[-1] - ns_upto[at]
+    owner = np.repeat(np.arange(len(at)), per)
+    first = np.cumsum(per) - per
+    t = ns_np[np.arange(len(owner)) - first[owner] + ns_upto[at][owner]]
+    ai, at_ = a_np[at][owner], a_np[t]
+    lo = -(-(a_np[at + 1][owner] + at_) // ai)
+    # clipped to n before int64, since past 2^62 a count may not fit
+    counts = np.minimum(np.maximum((a_np[-1] + at_) // ai - lo + 1, 0), n).astype(np.int64)
+    undecided = np.add.reduceat(counts, first) > n - 1 - at
+    counts[undecided[owner]] = 0
+
+    def candidate(o, m):  # k = t is no pair; 0 is in no sequence
+        values = (lo[o] + m) * ai[o] - at_[o]
+        return np.where(values == at_[o], 0, values)
+    hits = _count_hits(counts, candidate, a_np)
+    return np.bincount(owner, weights=hits, minlength=len(at)) > 0, undecided
 
 
 def _plan(a_np: np.ndarray, roots_np: np.ndarray, square: np.ndarray,
@@ -236,28 +278,30 @@ def _plan(a_np: np.ndarray, roots_np: np.ndarray, square: np.ndarray,
 def _scan(a: list[int], force: bool) -> Optional[tuple[int, int, int]]:
     """Lexicographically first witness (i, j, k), or None."""
     a_np = np.array(a, dtype=np.int64 if a[-1] <= _NUMPY_VALUE_CEILING else object)
-    isqrts = [math.isqrt(v) for v in a]
-    square = np.array([r * r == v for r, v in zip(isqrts, a)])
+    # below 2^62 the float root of a square rounds to its root
+    r = (np.array([math.isqrt(v) for v in a], dtype=object) if a_np.dtype == object
+         else np.rint(np.sqrt(a_np)).astype(np.int64))
+    square = r * r == a_np
+    roots_np = r[square]
+    if roots_np.dtype == object and roots_np.size and roots_np[-1] < 1 << 63:
+        roots_np = roots_np.astype(np.int64)
     ns_upto = np.cumsum(~square)  # non-squares at positions <= t
-    roots = list(compress(isqrts, square.tolist()))
-    roots_np = np.array(roots, dtype=np.int64 if roots and roots[-1] < 1 << 63 else object)
     live, lattice = _plan(a_np, roots_np, square, ns_upto, force)
-    root_set = set(roots) if lattice.any() else set()
-    ns_np = np.flatnonzero(~square)  # non-square positions
-    for i in compress(range(len(a) - 2), live.tolist()):
+    # the passes decide the lattice: a lattice index stays live where they
+    # find a pair, and one they leave undecided leaves the lattice
+    at = np.flatnonzero(lattice)
+    if at.size:
+        live[at] = _two_multiples(roots_np, at - ns_upto[at])
+        more = at[~live[at] & (ns_upto[at] < ns_upto[-1])] if ns_upto[-1] > ns_upto[at[0]] else []
+        if len(more):  # lattice indices with a non-square after them
+            found, undecided = _non_square_pairs(a_np, more, np.flatnonzero(~square), ns_upto)
+            live[more], lattice[more] = found | undecided, found
+    for i in np.flatnonzero(live).tolist():
         ai = a[i]
-        res = None  # tail residues mod a_i, once a path needs them
-        if lattice[i]:
-            hit = _two_multiples(isqrts[i], i + 1 - int(ns_upto[i]), root_set, roots_np)
-            if not hit and ns_upto[i] < ns_upto[-1]:
-                res = a_np[i + 1:] % ai
-                hit = _non_square_pair_exists(res, ns_np[ns_upto[i]:] - (i + 1), ai)
-        else:
-            res = a_np[i + 1:] % ai
-            hit = _pair_exists(res, ai)
-        if not hit:
+        res = a_np[i + 1:] % ai
+        if not lattice[i] and not _pair_exists(res, ai):
             continue
-        found = _first_pair((a_np[i + 1:] % ai if res is None else res).tolist(), ai)
+        found = _first_pair(res.tolist(), ai)
         if found is not None:
             j, k = found
             return i, i + 1 + j, i + 1 + k
@@ -305,12 +349,23 @@ def check_lemma1(n1: int, n2: int, n3: int) -> Lemma1Result:
     return Lemma1Result(NOT_APPLICABLE, None)
 
 
-def check_union_property_p(limit: int, *, exclude_qi: bool = False) -> Verdict:
-    """Property P on the constructed union up to `limit`.
+# check_union_property_p's peak RSS over the interpreter's a root: 70 bytes at
+# 10^16, 61 at 10^18, 60 at 10^19; rounded up for the sqrt(limit) prime store
+_UNION_ROOT_BYTES = 80
 
-    Every root of S has only prime factors = 3 mod 4, so each outer index
-    takes the divisor lattice or is skipped, and the scan's plan reduces no
-    residue.  `enumerate_s` counts S first and, past the memory budget,
-    raises ResourceError before walking.
-    """
-    return check_property_p([e.value for e in enumerate_s(limit, exclude_qi)])
+
+def check_union_property_p(limit: int, *, exclude_qi: bool = False) -> Verdict:
+    """Property P on the constructed union up to `limit`.  Every root of S
+    has only prime factors = 3 mod 4, so the square-pair pass on the roots
+    decides every outer index.  `s_roots` counts S first and raises
+    ResourceError past the memory budget at _UNION_ROOT_BYTES a root."""
+    roots = s_roots(limit, exclude_qi, _UNION_ROOT_BYTES)
+    n = len(roots)
+    hit = np.flatnonzero(_two_multiples(roots, np.arange(n - 2))) if n > 2 else []
+    if not len(hit):
+        return Verdict(True, None, None, math.comb(n, 3))
+    i = int(hit[0])
+    ai = int(roots[i]) ** 2
+    j, k = (i + 1 + t for t in _first_pair([r * r % ai for r in roots[i + 1:].tolist()], ai))
+    witness = (ai, int(roots[j]) ** 2, int(roots[k]) ** 2)
+    return Verdict(False, witness, (i, j, k), _lex_rank(n, i, j, k))

@@ -65,6 +65,29 @@ def shape_layer_index(n: int, class3: list[int], exclude_qi: bool = False):
     return i
 
 
+def naive_layer(i: int, limit: int, class3: list[int], exclude_qi: bool = False):
+    """Sorted (value, nu_factors) of S_i up to `limit` by a plain recursive
+    walk over ascending class-3 primes, pruned once the smallest completion,
+    the next prime in every free slot, passes `limit`.  `class3` must reach
+    the largest factor of any nu in the layer."""
+    q = class3[i - 1]
+    pool = [p for p in class3 if not exclude_qi or p != q]
+    out = []
+
+    def walk(start: int, chosen: list[int]) -> None:
+        if len(chosen) == i:
+            out.append((q ** 4 * math.prod(chosen) ** 2, tuple(chosen)))
+            return
+        for idx in range(start, len(pool)):
+            smallest = math.prod(chosen) * pool[idx] ** (i - len(chosen))
+            if q ** 4 * smallest ** 2 > limit:
+                break
+            walk(idx + 1, chosen + [pool[idx]])
+
+    walk(0, [])
+    return sorted(out)
+
+
 def naive_property_p(seq: list[int]):
     """First violating triple (i, j, k) by index, or None: cubic loop."""
     n = len(seq)

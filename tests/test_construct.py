@@ -13,12 +13,15 @@ from propp.construct import (
     enumerate_s,
     enumerate_s_i,
     finite_block,
+    layer_roots,
     max_set_index,
     min_element,
+    s_roots,
 )
+from propp.counting import count_s, count_s_i
 from propp.seqfile import parse_sequence, read_sequence, write_sequence
 
-from _naive import shape_layer_index, trial_division_class3
+from _naive import naive_layer, shape_layer_index, trial_division_class3
 
 
 def test_enumerate_s_i_frozen_examples():
@@ -36,6 +39,47 @@ def test_enumerate_s_i_metadata():
         assert all(p % 4 == 3 for p in e.nu_factors)
         assert list(e.nu_factors) == sorted(e.nu_factors)
         assert e.value == 7 ** 4 * math.prod(e.nu_factors) ** 2
+
+
+_CLASS3 = trial_division_class3(12000)
+
+
+@pytest.mark.parametrize("exclude_qi", [False, True])
+@pytest.mark.parametrize("i, limit", [(1, 10 ** 10), (2, 10 ** 12), (3, 10 ** 14),
+                                      (4, 10 ** 16), (4, 3 * 10 ** 12)])
+def test_layer_roots_match_a_recursive_walk(i, limit, exclude_qi):
+    roots, rows = layer_roots(i, limit, exclude_qi)
+    expected = naive_layer(i, limit, _CLASS3, exclude_qi)
+    assert roots.dtype == np.int64 and rows.shape == (len(expected), i)
+    assert [(r * r, tuple(f)) for r, f in zip(roots.tolist(), rows.tolist())] == expected
+    assert len(roots) == count_s_i(i, limit, exclude_qi)
+    assert [(e.value, e.nu_factors) for e in enumerate_s_i(i, limit, exclude_qi)] == expected
+
+
+@pytest.mark.parametrize("exclude_qi", [False, True])
+def test_layer_roots_past_int64_are_python_ints(exclude_qi):
+    # q_13^2 nu passes 2^63 from the layer's least element on
+    limit = min_element(13, exclude_qi) * 100
+    roots, rows = layer_roots(13, limit, exclude_qi)
+    expected = naive_layer(13, limit, _CLASS3, exclude_qi)
+    assert roots.dtype == object and len(expected) > 20
+    assert [(r * r, tuple(f)) for r, f in zip(roots.tolist(), rows.tolist())] == expected
+    assert len(roots) == count_s_i(13, limit, exclude_qi)
+
+
+def test_layer_roots_below_the_least_element_are_empty():
+    for i in (1, 2, 5):
+        roots, rows = layer_roots(i, min_element(i) - 1)
+        assert roots.shape == (0,) and rows.shape == (0, i)
+        assert len(layer_roots(i, min_element(i))[0]) == 1
+
+
+def test_s_roots_are_the_union_of_the_layers():
+    for limit, exclude_qi in ((10 ** 12, False), (10 ** 14, True), (700, False)):
+        roots = s_roots(limit, exclude_qi)
+        values = [e.value for e in enumerate_s(limit, exclude_qi)]
+        assert [r * r for r in roots.tolist()] == values
+        assert len(roots) == sum(count_s(limit, exclude_qi)[1].values())
 
 
 def test_enumerate_s_small():

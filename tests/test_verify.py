@@ -384,6 +384,109 @@ def test_lattice_matches_oracles_beyond_int64(monkeypatch):
     assert not _assert_scan_matches(seq)
 
 
+def _plant_non_square_pair(rng, seq):
+    """Add a_k = m a_i - a_t for a square a_i and a non-square a_t above it."""
+    squares = [v for v in seq if math.isqrt(v) ** 2 == v]
+    ai = rng.choice(squares[:max(1, len(squares) // 2)])
+    at = next(v for v in itertools.count(ai + rng.randint(1, 3 * ai)) if math.isqrt(v) ** 2 != v)
+    m = (2 * at) // ai + rng.randint(1, 4)
+    return sorted(set(seq) | {at, m * ai - at})
+
+
+def _mixed_sequences(rng, count):
+    """Class-3 squares with a few non-squares, planted square pairs and
+    non-square pairs, and now and then a far non-square that makes a
+    lattice index's walk longer than its tail.  Odd draws take their roots
+    from one octave of primes, where walks are short."""
+    band = [p for p in C3 if 1000 < p < 2000]
+    for t in range(count):
+        if t % 2:
+            roots = set(rng.sample(band, rng.randint(3, 25)))
+        else:
+            roots = {_class3_root(rng) for _ in range(rng.randint(3, 20))}
+        if t % 4 == 0:
+            roots = _plant_shared_multiple(rng, roots)
+        seq = _squares(roots)
+        if t % 4 == 1:
+            seq = _plant_non_square_pair(rng, seq)
+        seq = _add_non_squares(rng, seq, rng.randint(0, 2))
+        if t % 3 == 2:  # = 2 mod 4, so no square
+            seq.append(seq[-1] * 10 ** 6 + 2)
+        yield seq
+
+
+def test_array_passes_match_the_cubic_loop(monkeypatch):
+    seen = []
+    passes = verify._non_square_pairs
+    monkeypatch.setattr("propp.verify._non_square_pairs",
+                        lambda *args: seen.append(passes(*args)) or seen[-1])
+    rng = random.Random(21)
+    scale = 7 ** 40  # a class-3 square: squares stay squares and roots stay in the lattice
+    for shift in (1, scale):
+        seen.clear()
+        outcomes = set()
+        for seq in _mixed_sequences(rng, 300):
+            expected = naive_property_p(seq)
+            verdict = check_property_p([v * shift for v in seq], force=True)
+            assert verdict.witness_indices == expected, seq
+            outcomes.add(verdict.holds)
+        assert outcomes == {True, False}
+        # the lookup found a non-square pair, and a long walk left an index undecided
+        assert any(found.any() for found, _ in seen) and any(u.any() for _, u in seen)
+
+
+def test_lookups_split_into_blocks(monkeypatch):
+    # blocks of 16 cells: the walk and the reduction each span several blocks
+    monkeypatch.setattr("propp.verify._LOOKUP_BLOCK", 16)
+    walked = []
+    count_hits = verify._count_hits
+    monkeypatch.setattr("propp.verify._count_hits",
+                        lambda counts, *a: walked.append(int(counts.sum())) or count_hits(counts, *a))
+    rng = random.Random(22)
+    for shift in (1, 7 ** 40):  # int64 roots, then Python ints past 2^63
+        walked.clear()
+        for seq in _mixed_sequences(rng, 200):
+            verdict = check_property_p([v * shift for v in seq], force=True)
+            assert verdict.witness_indices == naive_property_p(seq), seq
+        assert max(walked) > 16
+
+
+def _union_verdict_matches_the_scan(limit, monkeypatch=None, planted=()):
+    values = [e.value for e in enumerate_s(limit)]
+    if planted:
+        roots = np.array(sorted({math.isqrt(v) for v in values} | set(planted)))
+        monkeypatch.setattr("propp.verify.s_roots", lambda *args: roots)
+        values = [int(r) ** 2 for r in roots]
+    verdict = check_union_property_p(limit)
+    assert verdict == check_property_p(values, force=True)
+    return verdict, values
+
+
+def test_union_matches_the_scan_on_s():
+    for limit in (10 ** 12, 10 ** 14):
+        assert _union_verdict_matches_the_scan(limit)[0].holds
+
+
+def test_union_finds_a_planted_root(monkeypatch):
+    # 21 divides the roots 63 (layer 1) and 7^2 * 3 * 11 (layer 2); r = 3 * 7
+    # * 19 * 23 is planted with 2r and 5r, which no root of S divides: each
+    # root has a square factor q_i^2, and r, 2r and 5r are squarefree
+    r = 3 * 7 * 19 * 23
+    for planted in ((21,), (r, 2 * r, 5 * r)):
+        verdict, values = _union_verdict_matches_the_scan(10 ** 12, monkeypatch, planted)
+        assert not verdict.holds and verdict.witness_indices == _generic_scan(values)
+        assert values[verdict.witness_indices[0]] == planted[0] ** 2
+
+
+def test_union_refuses_past_the_budget_before_enumerating(monkeypatch):
+    def not_called(*args):
+        raise AssertionError("a layer was enumerated past the budget")
+    monkeypatch.setattr("propp.construct.layer_roots", not_called)
+    # S up to 10^21 has 115,202,802 roots
+    with pytest.raises(ResourceError, match="115202802"):
+        check_union_property_p(10 ** 21)
+
+
 def test_roots_past_the_trial_budget_fall_back():
     # products of two class-3 primes near 46k are the costliest roots to
     # classify: trial division runs on up to their smaller factor
