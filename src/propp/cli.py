@@ -327,7 +327,8 @@ def cmd_theorem_terms(args, out) -> int:
     return 0
 
 
-def _add_common(parser, emits, default_emit):
+def _add_common(parser, emits, default_emit, fn):
+    parser.set_defaults(fn=fn)
     parser.add_argument("--emit", choices=emits, default=default_emit)
     parser.add_argument("--out", help="write the report to this path")
     parser.add_argument("--threads", type=_int_arg, help="ignored: the sieve is serial")
@@ -341,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="list primes in the class 3 mod 4")
     p.add_argument("--limit", type=_int_arg, required=True)
-    _add_common(p, ("json", "csv"), "csv")
-    p.set_defaults(fn=cmd_sieve)
+    _add_common(p, ("json", "csv"), "csv", cmd_sieve)
 
     p = sub.add_parser("construct", help="enumerate the set S or one layer S_i")
     p.add_argument("--set-index", type=_int_arg)
@@ -350,28 +350,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_int_arg, required=True)
     p.add_argument("--exclude-qi", action="store_true",
                    help="require nu coprime to q_i")
-    _add_common(p, ("plain", "json"), "plain")
-    p.set_defaults(fn=cmd_construct)
+    _add_common(p, ("plain", "json"), "plain", cmd_construct)
 
     p = sub.add_parser("baseline", help="classical baseline sequences")
     p.add_argument("--kind", choices=("squares", "block"), required=True)
     p.add_argument("--limit", type=_int_arg)
     p.add_argument("--x", type=_int_arg)
-    _add_common(p, ("plain", "json"), "plain")
-    p.set_defaults(fn=cmd_baseline)
+    _add_common(p, ("plain", "json"), "plain", cmd_baseline)
 
     p = sub.add_parser("verify", help="decide Property P for a sequence file")
     p.add_argument("--input", required=True)
     p.add_argument("--force", action="store_true")
-    _add_common(p, ("json",), "json")
-    p.set_defaults(fn=cmd_verify)
+    _add_common(p, ("json",), "json", cmd_verify)
 
     p = sub.add_parser("lemma1", help="square-sum divisibility witness test")
     p.add_argument("n1", type=_int_arg)
     p.add_argument("n2", type=_int_arg)
     p.add_argument("n3", type=_int_arg)
-    _add_common(p, ("plain", "json"), "plain")
-    p.set_defaults(fn=cmd_lemma1)
+    _add_common(p, ("plain", "json"), "plain", cmd_lemma1)
 
     p = sub.add_parser("pik", help="count k-almost-primes in the class")
     p.add_argument("--x", type=_int_arg, required=True)
@@ -379,43 +375,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "main", "full", "all"),
                    default="exact")
     _add_plimits(p)
-    _add_common(p, ("json",), "json")
-    p.set_defaults(fn=cmd_pik)
+    _add_common(p, ("json",), "json", cmd_pik)
 
     p = sub.add_parser("compare", help="exact counts against the asymptotics")
     p.add_argument("--x-grid", type=_int_list, required=True)
     p.add_argument("--k-set", type=_int_list, required=True)
     _add_plimits(p)
-    _add_common(p, ("csv", "json"), "csv")
-    p.set_defaults(fn=cmd_compare)
+    _add_common(p, ("csv", "json"), "csv", cmd_compare)
 
     p = sub.add_parser("count-s", help="per-layer counts and the envelope")
     p.add_argument("--limit", type=_int_arg, required=True)
     p.add_argument("--exclude-qi", action="store_true")
-    _add_common(p, ("json", "plain"), "json")
-    p.set_defaults(fn=cmd_count_s)
+    _add_common(p, ("json", "plain"), "json", cmd_count_s)
 
     p = sub.add_parser("constants", help="all named constants with bound checks")
     _add_plimits(p)
-    _add_common(p, ("json",), "json")
-    p.set_defaults(fn=cmd_constants)
+    _add_common(p, ("json",), "json", cmd_constants)
 
     p = sub.add_parser("bounds", help="run the inequality suite, exit 1 on failure")
     _add_plimits(p)
-    _add_common(p, ("plain", "json"), "plain")
-    p.set_defaults(fn=cmd_bounds)
+    _add_common(p, ("plain", "json"), "plain", cmd_bounds)
 
     p = sub.add_parser("envelope", help="the counting-function envelope at x")
     p.add_argument("--x", type=_magnitude, required=True)
-    _add_common(p, ("json",), "json")
-    p.set_defaults(fn=cmd_envelope)
+    _add_common(p, ("json",), "json", cmd_envelope)
 
     p = sub.add_parser("theorem-terms", help="per-layer bound factors at (x, j)")
     p.add_argument("--x", type=_magnitude)
     p.add_argument("--log-x", type=float)
     p.add_argument("--j", type=_int_arg, required=True)
-    _add_common(p, ("json",), "json")
-    p.set_defaults(fn=cmd_theorem_terms)
+    _add_common(p, ("json",), "json", cmd_theorem_terms)
 
     return top
 

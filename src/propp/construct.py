@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import window_params_from_logs
-from .counting import count_s, count_s_i, nu_bound, pi_k_exact
+from .counting import count_s, count_s_i, nu_bound, pi_k_exact, prime_tuples
 from .errors import checked_log, require_fits, require_int
-from .primes import class3_upto, nth_q, store_key
+from .primes import class3_upto, nth_q
 
 # Materialised, an element of S costs ~800 bytes at most: `construct --all
 # --emit json` peaked at 403 MB for the 483,065 elements below 10^16 (~770
@@ -82,8 +82,8 @@ def _elements(i: int, roots: np.ndarray, rows: np.ndarray) -> list[SetElement]:
 def layer_roots(i: int, limit: int, exclude_qi: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(the roots q_i^2 nu of S_i up to `limit`, ascending: int64, or Python
     ints once one could pass 2^63; the (n, i) rows of nu's primes), not
-    counted first.  Each pass appends to every prefix P of nu, with `need`
-    primes to go, each later p with P p^need <= nu_max at once."""
+    counted first: `prime_tuples` over nu's primes, each level's appended
+    to its prefixes' rows."""
     q = nth_q(i)
     nu_max = nu_bound(i, limit)
     smallest = _smallest_nu_primes(i, exclude_qi)
@@ -94,22 +94,12 @@ def layer_roots(i: int, limit: int, exclude_qi: bool = False) -> tuple[np.ndarra
     primes = class3_upto(nu_max // math.prod(smallest[:-1]))
     if exclude_qi:
         primes = primes[primes != q]
-    dtype = np.int64 if q * q * nu_max < 1 << 63 else object
-    prods, last, rows = np.ones(1, dtype), np.full(1, -1), np.zeros((1, 0), np.uint32)
-    for need in range(i, 0, -1):
-        budget = nu_max // prods
-        if need == 1:
-            cap = store_key(budget)
-        else:  # one above the float root (math.log takes any int): a prefix
-            # past P p^need <= nu_max gets no last factor, which is exact
-            cap = store_key(np.exp(np.array([math.log(b) for b in budget.tolist()]) / need) + 1)
-        counts = np.maximum(np.searchsorted(primes, cap, side="right") - last - 1, 0)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        last = np.arange(len(owner)) + np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
-        prods = prods[owner] * primes[last].astype(dtype)
+    rows = np.zeros((1, 0), np.uint32)
+    for _, last, owner in prime_tuples(primes, nu_max, i, i):
         rows = np.column_stack([rows[owner], primes[last]])
-    order = np.argsort(prods, kind="stable")
-    return q * q * prods[order], rows[order]
+    roots = q * q * np.prod(rows, axis=1, dtype=np.int64 if q * q * nu_max < 1 << 63 else object)
+    order = np.argsort(roots, kind="stable")
+    return roots[order], rows[order]
 
 
 def s_roots(limit: int, exclude_qi: bool = False, root_bytes: int = S_ELEMENT_BYTES) -> np.ndarray:

@@ -2,15 +2,15 @@
 prime factors all lie in the class 3 mod 4.
 
 pi_k(x;4,3) counts n <= x with omega(n) = Omega(n) = k and every p | n
-congruent 3 mod 4.  The exact count walks ascending tuples of k - 1
-class-3 primes with product pruning and counts the last factor in one
-lookup of pi(v;4,3) per tuple, where every v is some floor(x/m) with m
-odd, a product of class-3 primes.  Those lookups read the prime store
-when it already covers them; otherwise a Lucy_Hedgehog table of
-pi(v;4,3) over those v answers them after sieving only to sqrt(x)
-(Lagarias-Miller-Odlyzko, Math. Comp. 44, 1985).  The layers of the set
-S are counted through it as well (`count_s_i`, and `count_s` for all of
-them from one table).
+congruent 3 mod 4.  The exact count enumerates ascending tuples of k - 1
+class-3 primes level by level in arrays (`prime_tuples`) and counts the
+last factor in one lookup of pi(v;4,3) a tuple, where every v is some
+floor(x/m) with m odd.  Those lookups read the prime store when it
+already covers them; otherwise a Lucy_Hedgehog table of pi(v;4,3) over
+those v answers them after sieving only to sqrt(x) (Lagarias-Miller-
+Odlyzko, Math. Comp. 44, 1985).  The layers of the set S are counted
+through it as well (`count_s_i`, and `count_s` for all of them from one
+table).
 The asymptotic side evaluates Landau's classical term
 
     x (log log x)^(k-1) / ((k-1)! log x)
@@ -22,6 +22,7 @@ in log space so large k cannot overflow.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import constants
-from .errors import DomainError, ResourceError, require_int
+from .errors import DomainError, ResourceError, require_fits, require_int
 from .primes import class3_upto, nth_q, primes_upto, sieved_limit, store_key
 
 # One price for every class-3 count, in units of the Lucy table's work
@@ -37,10 +38,13 @@ from .primes import class3_upto, nth_q, primes_upto, sieved_limit, store_key
 # (1.7 s, 70 MB) and ~53 ns at 10^13 (9.9 s, 149 MB for 1.9e8 units), so
 # the budget, ~10 s of table, admits x = 10^13 and refuses 1.1e14 (1.05e9).
 _WORK_BUDGET = 2 * 10 ** 8
-# A call of the walk's count_from in those units: 6.4 us a node on the same
-# VM (`pik --x 1e30 --k 17`, 1,866,853 nodes in 11.9 s) over ~130 ns, a
-# table unit when the weight was set, so the walk stops after ~26 s.
-_NODE_WEIGHT = 49
+# A tuple of `prime_tuples` in those units: 54-106 ns a tuple on the same VM over
+# eight counts of 2.7e5-1.5e7 tuples (pi_3(10^13) to pi_17(10^30)); it holds
+# 68-71 bytes, traced, while its level is built
+_TUPLE_WEIGHT = 2
+_TUPLE_BYTES = 72
+# pairs (P, p) pi_k counts at once: at 2^12 the warm pi_3(10^9 + 7) traced 328 KiB
+_PAIR_BLOCK = 1 << 11
 
 # established admissible constant for the corollary-window lower bound
 ADMISSIBLE_C = 0.802
@@ -149,14 +153,9 @@ def _class3_counts(x: int, primes: np.ndarray):
     del reads, delta  # the batch needs neither: freed before the B rows are copied
     batch = primes[cut:]
     tops = (x // (batch * batch) + 1) >> 1  # pairs (k, p) for odd 2k + 1 <= x // p^2
-    ends = np.cumsum(tops)
-    total = int(tops.sum())
     n = big.shape[1]
     flat = big.reshape(-1)               # A of big entry k at k, B at n + k
-    for start in range(0, total, _BATCH_PAIRS):
-        pair = np.arange(start, min(start + _BATCH_PAIRS, total), dtype=np.int64)
-        at = np.searchsorted(ends, pair, side="right")  # the pair's prime
-        k = pair - ends[at] + tops[at]
+    for at, k in blocks(tops, _BATCH_PAIRS):  # at: the pair's prime
         p = batch[at]
         ip = (2 * k + 1) * p
         inner = np.flatnonzero(ip <= r)
@@ -185,8 +184,8 @@ def _class3_counts(x: int, primes: np.ndarray):
 
 
 def _class3_counter(x: int, k: int):
-    """(class-3 primes, pi(v;4,3) for every v = floor(x/m), m odd) for the
-    walk of pi_k(x;4,3), or None once q_1...q_k > x: the store when it
+    """(class-3 primes, pi(v;4,3) for every v = floor(x/m), m odd) for
+    pi_k(x;4,3), or None once q_1...q_k > x: the store when it
     covers the largest leaf L = x // (q_1...q_{k-1}), else the cheaper
     within _WORK_BUDGET of a Lucy_Hedgehog table for x (sieving to sqrt(x))
     and the store filled to L, a unit an integer: ~3 ns of sieve, but ~0.7 byte of
@@ -208,48 +207,74 @@ def _class3_counter(x: int, k: int):
 
 
 def pi_k_exact(x: int, k: int) -> int:
-    """Exact pi_k(x;4,3): pruned enumeration over ascending class-3 primes.
-    The last factor is counted, never enumerated: a tuple with product P
-    adds pi(x // P;4,3) minus the primes up to its largest factor."""
+    """Exact pi_k(x;4,3), its last factor counted, never enumerated."""
     return _pi_k(x, k, _class3_counter(require_int("x", x), require_int("k", k)))
 
 
 def _pi_k(x: int, k: int, counter) -> int:
     """pi_k(x;4,3) through `counter`, which must answer every floor(x/m)
-    with m odd (every m the walk divides by is a product of odd primes);
-    None, which `_class3_counter` returns once q_1...q_k > x, counts 0.
-    The walk raises ResourceError once its nodes pass _WORK_BUDGET."""
+    with m odd; None, which `_class3_counter` returns once q_1...q_k > x,
+    counts 0.  Each pair (P, p = arr[idx]) of `prime_tuples`' level k - 1
+    adds pi(x // (P p);4,3) - (idx + 1), below 0 (clipped) when p^2 P > x."""
     if counter is None:
         return 0
     arr, count = counter
     if k == 1:
         return int(count(x))
-    n = len(arr)
-    nodes = 0
+    pairs = itertools.islice(prime_tuples(arr, x, k - 1, k, _PAIR_BLOCK), k - 2, None)
+    return sum(int(np.maximum(count(quot) - idx - 1, 0).sum()) for quot, idx, _ in pairs)
 
-    def count_from(start: int, remaining: int, budget: int) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes * _NODE_WEIGHT > _WORK_BUDGET:
-            raise ResourceError(f"pi_{k}({x};4,3) walks past "
-                                f"{_WORK_BUDGET // _NODE_WEIGHT} nodes")
-        if remaining == 2:
-            # every p <= sqrt(budget) at once: pi(budget // p) minus the
-            # class-3 primes up to p, which number idx + 1
-            stop = int(np.searchsorted(arr, store_key(math.isqrt(budget)), side="right"))
-            if stop <= start:
-                return 0
-            below = (start + 1 + stop) * (stop - start) // 2
-            return int(count(budget // arr[start:stop].astype(np.int64)).sum()) - below
-        total = 0
-        for idx in range(start, n):
-            p = int(arr[idx])
-            if p ** remaining > budget:
-                break
-            total += count_from(idx + 1, remaining - 1, budget // p)
-        return total
 
-    return count_from(0, k, x)
+def blocks(counts: np.ndarray, block: int):
+    """(owner, offset) for the cells (o, 0) .. (o, counts[o] - 1) of each
+    owner o in turn, `block` cells at a time; a block's owners are a run."""
+    ends = np.cumsum(counts)
+    for start in range(0, int(ends[-1]) if len(ends) else 0, block):
+        flat = np.arange(start, min(start + block, ends[-1]))
+        owner = np.searchsorted(ends, flat, side="right")
+        yield owner, flat - ends[owner] + counts[owner]
+
+
+def prime_tuples(primes: np.ndarray, bound: int, levels: int, factors: int,
+                 block: Optional[int] = None):
+    """For j = 1 .. levels, the ascending j-tuples of `primes` with room for
+    `factors` primes under `bound`: (bound // P for each tuple's product P,
+    the index in `primes` of its largest prime p, the index of its prefix in
+    level j - 1).  Room is P p^(factors - j) <= bound, or p up to 1 past the
+    float root where factors > j; such a p has no room at any later level.
+    Quotients are Python ints until a level's all fit int64.  With `block`
+    the last level comes `block` tuples at a time.  A level is priced before
+    it is built: at _TUPLE_BYTES a tuple against the memory budget, and at
+    _TUPLE_WEIGHT units against _WORK_BUDGET with the tuples before it and
+    a lower bound on those after it (c children of a prefix with exact room
+    make C(c, m + 1) tuples m levels on)."""
+    quot, last, spent = np.array([bound], dtype=object), np.full(1, -1), 0
+    for need in range(factors, factors - levels, -1):
+        if quot.dtype == object and quot.max() < 1 << 63:
+            quot = quot.astype(np.int64)
+        logs = np.log(quot) if quot.dtype == np.int64 else np.array(
+            [math.log(v) for v in quot.tolist()])  # math.log takes any int
+        cap = store_key(quot if need == 1 else np.exp(logs / need) + 1)
+        counts = np.maximum(np.searchsorted(primes, cap, side="right") - last - 1, 0)
+        spent += (total := int(counts.sum()))
+        c = b = np.maximum(counts - 1, 0).astype(np.float64)
+        later = 0.0
+        for m in range(1, min(need - factors + levels, int(c.max()))):
+            b = np.minimum(b * (c - m) / (m + 1), _WORK_BUDGET)  # C(c, m + 1), no inf
+            later += float(b.sum())
+        if (price := _TUPLE_WEIGHT * (spent + later)) > _WORK_BUDGET:
+            raise ResourceError(f"the {factors}-tuples of primes under {bound} are priced "
+                                f"at {price:.4g} units, past the budget of {_WORK_BUDGET}")
+        require_fits(f"level {factors - need + 1} of the {factors}-tuples under {bound}",
+                     total, _TUPLE_BYTES)
+        if not total:
+            return
+        for owner, offset in blocks(counts, block if block and need == factors - levels + 1
+                                    else total):
+            at = last[owner] + 1 + offset
+            level = quot[owner] // primes[at], at, owner
+            yield level
+        quot, last = level[:2]  # a whole level is its one block
 
 
 def nu_bound(i: int, limit: int) -> int:
@@ -259,25 +284,21 @@ def nu_bound(i: int, limit: int) -> int:
 
 def _layer(i: int, n: int, exclude_qi: bool, counter) -> int:
     """|S_i ∩ [1, limit]|, pi_i(N;4,3) for N = n = nu_bound(i, limit), through
-    a `counter` that answers every floor(n/m) with m odd.  With `exclude_qi`
-    the nu divisible by q_i come off by inclusion-exclusion on q_i:
-    sum_t (-1)^t pi_{i-t}(N / q_i^t;4,3), with pi_0 = 1."""
-    q = nth_q(i)
-    total, sign = 0, 1
-    for k in range(i, -1, -1) if exclude_qi else (i,):
-        if n < 1:
-            break
-        total += sign * (_pi_k(n, k, counter) if k else 1)
-        sign, n = -sign, n // q
-    return total
+    a `counter` that answers every floor(n/m) with m odd; with `exclude_qi`,
+    over the class-3 primes but q_i."""
+    if n < 1 or counter is None:
+        return 0
+    if exclude_qi:  # the walk takes no prime past sqrt(n): copy only those
+        q, (arr, count) = nth_q(i), counter
+        arr = arr[: np.searchsorted(arr, store_key(math.isqrt(n)), side="right")]
+        counter = arr[arr != q], lambda v: count(v) - (np.asarray(v) >= q)
+    return _pi_k(n, i, counter)
 
 
 def count_s_i(i: int, limit: int, exclude_qi: bool = False) -> int:
     """|S_i ∩ [1, limit]|, counted without enumerating the layer: q_i^4 nu^2
     <= limit exactly when nu <= N = nu_bound(i, limit)."""
-    require_int("set index", i)
-    require_int("limit", limit)
-    n = nu_bound(i, limit)
+    n = nu_bound(require_int("set index", i), require_int("limit", limit))
     return _layer(i, n, exclude_qi, _class3_counter(n, i))
 
 

@@ -43,6 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .construct import s_roots
+from .counting import blocks
 from .errors import ResourceError, require_int
 from .primes import IS_PRIME_EXACT_BELOW, is_prime, primes_upto
 from .seqfile import validate_sequence
@@ -195,12 +196,9 @@ _LOOKUP_BLOCK = 1 << 16
 def _count_hits(counts: np.ndarray, candidate, table: np.ndarray) -> np.ndarray:
     """How many of candidate(o, 0 .. counts[o] - 1) lie in the ascending
     `table`, for each owner o; one searchsorted per _LOOKUP_BLOCK candidates."""
-    ends = np.cumsum(counts)
     hits = np.zeros(len(counts), dtype=np.int64)
-    for start in range(0, int(ends[-1]) if len(ends) else 0, _LOOKUP_BLOCK):
-        flat = np.arange(start, min(start + _LOOKUP_BLOCK, int(ends[-1])))
-        owner = np.searchsorted(ends, flat, side="right")
-        values = candidate(owner, flat - ends[owner] + counts[owner])
+    for owner, offset in blocks(counts, _LOOKUP_BLOCK):
+        values = candidate(owner, offset)
         found = table[np.minimum(np.searchsorted(table, values), len(table) - 1)] == values
         lo, hi = owner[0], owner[-1] + 1  # a block's owners are a run: count only there
         hits[lo:hi] += np.bincount(owner[found] - lo, minlength=hi - lo)

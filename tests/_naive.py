@@ -88,6 +88,28 @@ def naive_layer(i: int, limit: int, class3: list[int], exclude_qi: bool = False)
     return sorted(out)
 
 
+def recursive_pi_k(x: int, k: int, class3, count) -> int:
+    """pi_k(x;4,3) by a depth-first walk over ascending class-3 primes in
+    Python ints: a tuple of k - 1 primes with product P adds count(x // P),
+    the class-3 primes <= x // P, minus those up to its largest factor.
+    `class3` must list every class-3 prime <= x^(1/2) (all <= x for k = 1),
+    and `count` must answer every x // P."""
+    class3 = [int(p) for p in class3]
+
+    def walk(start: int, remaining: int, budget: int) -> int:
+        if remaining == 1:
+            return int(count(budget)) - start
+        total = 0
+        for idx in range(start, len(class3)):
+            p = class3[idx]
+            if p ** remaining > budget:
+                break
+            total += walk(idx + 1, remaining - 1, budget // p)
+        return total
+
+    return walk(0, k, x)
+
+
 def naive_property_p(seq: list[int]):
     """First violating triple (i, j, k) by index, or None: cubic loop."""
     n = len(seq)

@@ -1,5 +1,6 @@
 import bisect
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import propp
-from propp import DomainError, ResourceError, counting
+from propp import DomainError, ResourceError, counting, errors
 from propp.cli import main
 from propp.counting import (
     _class3_counts,
@@ -26,13 +27,14 @@ from propp.counting import (
     landau_term,
     meng_estimate,
     meng_neglected_scale,
+    nu_bound,
     pi_k_exact,
 )
 
 from propp.construct import enumerate_s_i, max_set_index, min_element
-from propp.primes import class3_upto, primes_upto, sieved_limit
+from propp.primes import class3_upto, nth_q, primes_upto, sieved_limit, store_key
 
-from _naive import classify_counts
+from _naive import classify_counts, recursive_pi_k
 
 
 def test_pi_k_frozen_examples():
@@ -70,6 +72,100 @@ def test_pi_k_matches_classification_sieve(x):
     max_k = max(expected) + 1
     for k in range(1, max_k + 1):
         assert pi_k_exact(x, k) == expected.get(k, 0), (x, k)
+
+
+def _counters(x):
+    """The store counter and the table counter for x, as `_class3_counter` makes them."""
+    store, r = class3_upto(x), math.isqrt(x)
+    return [(store, lambda v: np.searchsorted(store, store_key(v), side="right")),
+            (class3_upto(r), _class3_counts(x, primes_upto(r)))]
+
+
+@pytest.mark.parametrize("x", [10 ** 3, 999_983, 10 ** 6, 3 * 10 ** 6 + 7, 10 ** 7])
+def test_pi_k_matches_the_recursive_walk(x):
+    expected = classify_counts(x) if x <= 10 ** 6 else {}
+    for counter in _counters(x):
+        got = [counting._pi_k(x, k, counter) for k in range(1, 9)]
+        assert got == [recursive_pi_k(x, k, *counter) for k in range(1, 9)], x
+        if expected:
+            assert got == [expected.get(k, 0) for k in range(1, 9)], x
+
+
+@pytest.mark.parametrize("x, k", [(2 ** 63, 12), (2 ** 64 + 1, 12), (10 ** 20, 13),
+                                  (10 ** 24, 15), (10 ** 30, 18)])
+def test_pi_k_past_int64_matches_the_recursive_walk(x, k):
+    # the leaves x // (q_1...q_{k-1}) stay below 10^4: the store counts them,
+    # and the first levels' quotients x // P are Python ints
+    counter = counting._class3_counter(x, k)
+    assert len(counter[0]) < 10 ** 3
+    assert counting._pi_k(x, k, counter) == recursive_pi_k(x, k, *counter) > 0
+
+
+@pytest.mark.parametrize("i, limit", [(1, 10 ** 12), (2, 10 ** 16), (3, 10 ** 20),
+                                      (5, 10 ** 24), (8, 10 ** 30)])
+def test_count_s_i_matches_the_recursive_walk(i, limit):
+    # nu <= N has i class-3 primes, none of them q_i with exclude_qi
+    q, n = nth_q(i), nu_bound(i, limit)
+    for exclude_qi in (False, True):
+        pool = [p for p in class3_upto(10 ** 3).tolist() if not exclude_qi or p != q]
+        store = class3_upto(max(n // math.prod(pool[: i - 1]), 3))
+        if exclude_qi:
+            store = store[store != q]
+        walk = recursive_pi_k(n, i, store, lambda v: np.searchsorted(store, store_key(v),
+                                                                      side="right"))
+        assert count_s_i(i, limit, exclude_qi) == walk, (i, limit, exclude_qi)
+
+
+def _levels(primes, bound, levels, factors, block):
+    """`prime_tuples`' levels as lists of (prime tuple, quotient), a blocked
+    last level joined; the owners lead back to each tuple's primes."""
+    found, prev = [], [()]
+    tuples = counting.prime_tuples(primes, bound, levels, factors, block)
+    for n, (quot, last, owner) in enumerate(tuples):
+        level = [(prev[o] + (int(primes[a]),), q)
+                 for q, a, o in zip(quot.tolist(), last.tolist(), owner.tolist())]
+        if n < levels:
+            found.append(level)
+        else:
+            found[-1] += level
+        if n < levels - 1:
+            prev = [t for t, _ in level]
+    return found
+
+
+_SHORT = class3_upto(110)
+# class-3 primes near 2^21 = (2^63)^(1/3) and near isqrt(2^63) = 3,037,000,499
+_NEAR_2_63 = np.array([3, 7, 2_097_083, 2_097_091, 2_097_143, 2_097_211, 2_097_223,
+                       3_037_000_303, 3_037_000_331, 3_037_000_507, 3_037_000_579],
+                      dtype=np.uint32)
+
+
+@pytest.mark.parametrize("primes, bounds", [
+    (_SHORT, (1, 3, 10 ** 4, 3 * 10 ** 6 + 7, 10 ** 9, 10 ** 12)),
+    (_SHORT[_SHORT != 7], (10 ** 4, 10 ** 9)),  # q_2 = 7 left out, as S_2's nu do
+    (_NEAR_2_63, (2 ** 63 - 1, 2 ** 63))])
+def test_prime_tuples_match_combinations(primes, bounds):
+    plain = [int(p) for p in primes]
+    for bound, factors in itertools.product(bounds, range(1, 6)):
+        def room(t):  # every step s of t leaves room for factors - s more primes
+            return all(math.prod(t[:s]) * t[s - 1] ** (factors - s) <= bound
+                       for s in range(1, len(t) + 1))
+        expected = [[t for t in itertools.combinations(plain, j) if room(t)]
+                    for j in range(1, factors + 1)]
+        for levels, block in itertools.product(range(1, factors + 1), (None, 2)):
+            found = _levels(primes, bound, levels, factors, block)
+            assert all(not expected[j] for j in range(len(found), levels))
+            for j, level in enumerate(found, 1):
+                assert [t for t, _ in level if room(t)] == expected[j - 1]
+                assert all(q == bound // math.prod(t) for t, q in level)
+                # the one tuple a prefix may take past its exact room: its last
+                # prime p is within 1 of the float root, and later levels drop it
+                need = factors - j + 1
+                for t, q in level:
+                    if not room(t):
+                        assert need > 1 and room(t[:-1]), t
+                        assert t[-1] - 1 <= (bound // math.prod(t[:-1])) ** (1 / need)
+                        assert not any(u[:j] == t for later in found[j:] for u, _ in later), t
 
 
 def test_partition_identity_at_1e6():
@@ -385,6 +481,22 @@ def test_warm_walk_never_copies_the_store():
         assert peak < 256 * 1024, (query.__name__, args, peak)
 
 
+def test_warm_layers_without_q_i_copy_no_store():
+    # each layer leaves q_i out of a copy of the primes up to sqrt(N), not of
+    # the store up to N = 10^8 // 9 (4.9 MB for layer 1)
+    with open(_PINS, encoding="utf-8") as fh:
+        pin = json.load(fh)["count_s"][f"{10 ** 16}:1"]["per_index"]
+    primes_upto(10 ** 8)
+    count_s(10 ** 16, True)
+    tracemalloc.start()
+    try:
+        assert count_s(10 ** 16, True)[1] == {int(i): c for i, c in pin.items()}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
+
+
 @pytest.mark.parametrize("exclude_qi", [False, True])
 def test_count_s_i_matches_enumeration(exclude_qi):
     spread = [1, 10, 728, 729, 10 ** 4, 10 ** 6, 3 * 10 ** 7 + 1, 10 ** 8,
@@ -469,13 +581,68 @@ def test_no_table_is_started_past_the_price(monkeypatch):
 
 def test_walk_stops_at_the_work_budget(monkeypatch):
     primes_upto(10 ** 6)  # the store covers the leaves 10^8 // 231: no table
-    assert pi_k_exact(10 ** 8, 4) == 507_590
-    # that walk makes 175 calls of count_from
-    monkeypatch.setattr(counting, "_WORK_BUDGET", 175 * counting._NODE_WEIGHT)
-    assert pi_k_exact(10 ** 8, 4) == 507_590
-    monkeypatch.setattr(counting, "_WORK_BUDGET", 175 * counting._NODE_WEIGHT - 1)
-    with pytest.raises(ResourceError, match="walks past 174 nodes"):
-        pi_k_exact(10 ** 8, 4)
+    x, k = 10 ** 8, 4
+    assert pi_k_exact(x, k) == 507_590
+    # the tuples that count enumerates, by the documented rule: p has room
+    # after P while P p^need <= x, or p - 1 <= (x // P)^(1/need) for need > 1
+    arr = [int(p) for p in class3_upto(x // 21)]
+
+    def tuples(quot, start, need, levels):
+        if not levels:
+            return 0
+        room = list(itertools.takewhile(
+            lambda i: arr[i] ** need <= quot
+            or need > 1 and arr[i] - 1 <= math.exp(math.log(quot) / need),
+            range(start, len(arr))))
+        return len(room) + sum(tuples(quot // arr[i], i + 1, need - 1, levels - 1)
+                               for i in room)
+    price = counting._TUPLE_WEIGHT * tuples(x, 0, k, k - 1)
+    assert price == counting._TUPLE_WEIGHT * 3_532  # 13 + 162 + 3,357 pairs
+    monkeypatch.setattr(counting, "_WORK_BUDGET", price)
+    assert pi_k_exact(x, k) == 507_590
+    counter = counting._class3_counter
+
+    def no_lookup(*args):
+        arr, count = counter(*args)
+        return arr, lambda v: pytest.fail("a count was looked up past the budget")
+    monkeypatch.setattr(counting, "_class3_counter", no_lookup)
+    monkeypatch.setattr(counting, "_WORK_BUDGET", price - 1)
+    with pytest.raises(ResourceError, match=f"priced at {price} units"):
+        pi_k_exact(x, k)
+
+
+def test_a_level_past_the_memory_budget_is_never_built(monkeypatch):
+    x, k = 10 ** 14, 8  # levels of 8, 43, 190, 801, 4,137, 32,330 and 511,020 tuples
+    expected = pi_k_exact(x, k)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 32_330 * counting._TUPLE_BYTES - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="level 6 of the 8-tuples"):
+            pi_k_exact(x, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_330 * 24, peak  # level 5 and its counts: no three arrays of level 6
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 511_020 * counting._TUPLE_BYTES)
+    assert pi_k_exact(x, k) == expected
+
+
+def test_a_walk_past_the_budget_is_refused_at_once():
+    # pi_17(10^32): the lower bound on the tuples still to come passes the
+    # budget at level 11, long before its 1.2e7-tuple level 13 is built
+    src = os.path.dirname(os.path.dirname(propp.__file__))
+    code = ("import json, resource, time\n"
+            "from propp.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(['pik', '--x', '1e32', '--k', '17'])\n"
+            "print(json.dumps([code, time.perf_counter() - start,"
+            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+    proc = subprocess.run([sys.executable, "-c", _LAUNCHER, sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60, check=True)
+    code, seconds, peak_kb = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 2 and "past the budget" in proc.stderr
+    assert seconds < 2 and peak_kb < 100 * 1024, (seconds, peak_kb)
 
 
 def test_count_s_matches_bench_pins():
