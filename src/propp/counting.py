@@ -267,6 +267,7 @@ def prime_tuples(primes: np.ndarray, bound: int, levels: int, factors: int,
                                 f"at {price:.4g} units, past the budget of {_WORK_BUDGET}")
         require_fits(f"level {factors - need + 1} of the {factors}-tuples under {bound}",
                      total, _TUPLE_BYTES)
+        del logs, cap, c, b  # priced: free them before the level is built
         if not total:
             return
         for owner, offset in blocks(counts, block if block and need == factors - levels + 1

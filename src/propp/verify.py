@@ -30,13 +30,13 @@ proven free of prime factors = 1 mod 4 and its tail holds fewer
 non-squares than its length has bits (past that, residues of the whole
 tail cost no more); else by reducing the tail mod a_i and looking for a
 residue pair summing to 0 or a_i.  Values past 2^62 take the same path
-as Python ints in an object array.  Whichever path finds a witness for
-i, the same generic routine picks the lexicographically first pair.
+as Python ints in an object array.  The loop runs one pair routine on
+the tail residues of each index it visits: it decides whether a pair
+exists and, if one does, names the lexicographically first.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,9 +87,8 @@ class Lemma1Result:
 
 def _lex_rank(n: int, i: int, j: int, k: int) -> int:
     """Number of index triples up to and including (i, j, k)."""
-    rank = sum(math.comb(n - 1 - t, 2) for t in range(i))
-    rank += sum(n - 1 - t for t in range(i + 1, j))
-    return rank + (k - j)
+    c = math.comb
+    return c(n, 3) - c(n - i, 3) + c(n - i - 1, 2) - c(n - j, 2) + (k - j)
 
 
 # A composite cofactor of n < 10^14 has a divisor <= 10^7, so the cap
@@ -100,27 +99,25 @@ _TRIAL_DIVISION_CAP = 10 ** 7
 def _prime_factors(n: int):
     """Distinct prime factors of n >= 1, ascending, by trial division.
 
-    Trial divisors run up to _TRIAL_DIVISION_CAP and stop once the
-    cofactor m is 1 or passes Miller-Rabin, which proves it prime below
-    3.3e24.  A composite cofactor with no divisor up to the cap raises
-    ResourceError.
+    Trial divisors are the stored primes up to _TRIAL_DIVISION_CAP; they
+    stop once the cofactor m is 1 or passes Miller-Rabin, which proves it
+    prime below 3.3e24.  A composite cofactor with no divisor up to the
+    cap raises ResourceError.
     """
     m = n
-    if m % 2 == 0:
-        yield 2
-        m >>= (m & -m).bit_length() - 1
-    d = 3
-    while m > 1 and not is_prime(m):
-        top = min(_TRIAL_DIVISION_CAP, math.isqrt(m))
-        d = next((t for t in range(d, top + 1, 2) if m % t == 0), 0)
-        if not d:
-            # a composite m has a divisor <= isqrt(m), so top < isqrt(m)
+    if m > 1 and not is_prime(m):
+        for p in primes_upto(min(_TRIAL_DIVISION_CAP, math.isqrt(m))).tolist():
+            if m % p:
+                continue
+            yield p
+            while m % p == 0:
+                m //= p
+            if m == 1 or is_prime(m):
+                break
+        else:  # a composite m has a divisor <= isqrt(m), so the cap < isqrt(m)
             raise ResourceError(
                 f"{m} has no prime factor up to {_TRIAL_DIVISION_CAP}; "
                 "factoring it is beyond the trial-division budget")
-        yield d
-        while m % d == 0:
-            m //= d
     if m > 1:
         yield m
 
@@ -163,29 +160,21 @@ def _lattice_roots(roots: np.ndarray) -> list[bool]:
     return proven.tolist()
 
 
-def _first_pair(res, ai: int) -> Optional[tuple[int, int]]:
-    """Smallest (j, k), j < k, with res[j] + res[k] == 0 mod ai."""
-    positions: dict[int, list[int]] = {}
-    for pos, r in enumerate(res):
-        positions.setdefault(int(r), []).append(pos)
-    for j, r in enumerate(res):
-        want = (ai - int(r)) % ai
-        lst = positions.get(want)
-        if lst is None:
-            continue
-        at = bisect_right(lst, j)
-        if at < len(lst):
-            return j, lst[at]
-    return None
-
-
-def _pair_exists(res: np.ndarray, ai: int) -> bool:
+def _first_pair(res: np.ndarray, ai: int) -> Optional[tuple[int, int]]:
+    """Smallest (j, k), j < k, with res[j] + res[k] == 0 mod ai, for
+    residues in [0, ai), int64 or object.  A pair exists when some residue
+    u meets its partner (ai - u) % ai among the distinct residues, itself
+    only if it occurs twice.  The first j with a partner is then the first
+    occurrence of a residue with one, and no occurrence of its partner
+    comes before it (that partner's first would be an earlier such j)."""
     u, c = np.unique(res, return_counts=True)
     w = (ai - u) % ai
-    pos = np.searchsorted(u, w)
-    pos = np.minimum(pos, len(u) - 1)
-    match = u[pos] == w
-    return bool(np.any(match & ((w != u) | (c > 1))))
+    match = u[np.minimum(np.searchsorted(u, w), len(u) - 1)] == w
+    paired = u[match & ((w != u) | (c > 1))]
+    if not paired.size:
+        return None
+    j = int(np.argmax(paired[np.minimum(np.searchsorted(paired, res), len(paired) - 1)] == res))
+    return j, j + 1 + int(np.argmax(res[j + 1:] == (ai - res[j]) % ai))
 
 
 # candidates looked up at once, bounding the scan's working arrays: `verify`
@@ -223,10 +212,10 @@ def _two_multiples(roots: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _non_square_pairs(a_np: np.ndarray, at: np.ndarray, ns_np: np.ndarray,
-                      ns_upto: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(found, undecided) for each i in `at`, each with non-squares t > i at
-    the positions `ns_np`: is some a_k = m a_i - a_t, k != t, in the
-    sequence?  Undecided where the m outnumber i's tail."""
+                      ns_upto: np.ndarray) -> np.ndarray:
+    """For each i in `at`, each with non-squares t > i at the positions
+    `ns_np`: is some a_k = m a_i - a_t, k != t, in the sequence, or do the
+    m outnumber i's tail, leaving i undecided?"""
     n = len(a_np)
     per = ns_upto[-1] - ns_upto[at]
     owner = np.repeat(np.arange(len(at)), per)
@@ -243,7 +232,7 @@ def _non_square_pairs(a_np: np.ndarray, at: np.ndarray, ns_np: np.ndarray,
         values = (lo[o] + m) * ai[o] - at_[o]
         return np.where(values == at_[o], 0, values)
     hits = _count_hits(counts, candidate, a_np)
-    return np.bincount(owner, weights=hits, minlength=len(at)) > 0, undecided
+    return (np.bincount(owner, weights=hits, minlength=len(at)) > 0) | undecided
 
 
 def _plan(a_np: np.ndarray, roots_np: np.ndarray, square: np.ndarray,
@@ -286,20 +275,15 @@ def _scan(a: list[int], force: bool) -> Optional[tuple[int, int, int]]:
     ns_upto = np.cumsum(~square)  # non-squares at positions <= t
     live, lattice = _plan(a_np, roots_np, square, ns_upto, force)
     # the passes decide the lattice: a lattice index stays live where they
-    # find a pair, and one they leave undecided leaves the lattice
+    # find a pair or leave it undecided
     at = np.flatnonzero(lattice)
     if at.size:
         live[at] = _two_multiples(roots_np, at - ns_upto[at])
         more = at[~live[at] & (ns_upto[at] < ns_upto[-1])] if ns_upto[-1] > ns_upto[at[0]] else []
         if len(more):  # lattice indices with a non-square after them
-            found, undecided = _non_square_pairs(a_np, more, np.flatnonzero(~square), ns_upto)
-            live[more], lattice[more] = found | undecided, found
+            live[more] = _non_square_pairs(a_np, more, np.flatnonzero(~square), ns_upto)
     for i in np.flatnonzero(live).tolist():
-        ai = a[i]
-        res = a_np[i + 1:] % ai
-        if not lattice[i] and not _pair_exists(res, ai):
-            continue
-        found = _first_pair(res.tolist(), ai)
+        found = _first_pair(a_np[i + 1:] % a[i], a[i])
         if found is not None:
             j, k = found
             return i, i + 1 + j, i + 1 + k
@@ -364,6 +348,7 @@ def check_union_property_p(limit: int, *, exclude_qi: bool = False) -> Verdict:
         return Verdict(True, None, None, math.comb(n, 3))
     i = int(hit[0])
     ai = int(roots[i]) ** 2
-    j, k = (i + 1 + t for t in _first_pair([r * r % ai for r in roots[i + 1:].tolist()], ai))
+    tail = roots[i + 1:] if int(roots[-1]) ** 2 < 1 << 63 else roots[i + 1:].astype(object)
+    j, k = (i + 1 + t for t in _first_pair(tail * tail % ai, ai))
     witness = (ai, int(roots[j]) ** 2, int(roots[k]) ** 2)
     return Verdict(False, witness, (i, j, k), _lex_rank(n, i, j, k))

@@ -789,6 +789,16 @@ def test_corollary_window_and_ratio():
         corollary_lower_bound(10, 2)
 
 
+def test_corollary_lower_bound_below_exact_counts():
+    # k = 2 lies in the window at every decade 1e4 .. 1e12; exact/bound
+    # reads 1.26-1.31 there, so the paper's 0.802 holds with room
+    for e in range(4, 13):
+        x = 10 ** e
+        lo, hi = corollary_window(x)
+        assert lo <= 2 <= hi, e
+        assert corollary_lower_bound(x, 2) <= pi_k_exact(x, 2), e
+
+
 def test_compare_reports():
     reports = compare([100], [2], c34_limit=10 ** 6, h_plimit=10 ** 5)
     assert len(reports) == 1

@@ -173,9 +173,9 @@ def test_inputs_priced_below_the_budget_run_without_force(tmp_path, capsys):
 
 def test_big_integer_residues_take_the_array_path(monkeypatch):
     dtypes = []
-    pair_exists = verify._pair_exists
-    monkeypatch.setattr("propp.verify._pair_exists",
-                        lambda res, ai: dtypes.append(res.dtype) or pair_exists(res, ai))
+    first_pair = verify._first_pair
+    monkeypatch.setattr("propp.verify._first_pair",
+                        lambda res, ai: dtypes.append(res.dtype) or first_pair(res, ai))
     rng = random.Random(15)
     outcomes = set()
     for t in range(80):
@@ -239,11 +239,48 @@ C1 = [int(p) for p in primes_upto(300) if p % 4 == 1]
 def _generic_scan(seq):
     """The per-outer-index residue scan for every i (the lattice's fallback
     alone): the lexicographically first witness, or None."""
+    dtype = np.int64 if seq[-1] < 1 << 62 else object
     for i in range(len(seq) - 2):
-        found = _first_pair([v % seq[i] for v in seq[i + 1:]], seq[i])
+        found = _first_pair(np.array([v % seq[i] for v in seq[i + 1:]], dtype=dtype), seq[i])
         if found is not None:
             return i, i + 1 + found[0], i + 1 + found[1]
     return None
+
+
+def _brute_first_pair(res, ai):
+    return next(((j, k) for j in range(len(res)) for k in range(j + 1, len(res))
+                 if (res[j] + res[k]) % ai == 0), None)
+
+
+def test_first_pair_matches_brute_force():
+    rng = random.Random(23)
+    outcomes = set()
+    for t in range(3000):
+        big = t % 3 == 0
+        ai = rng.choice([1, 2, rng.randrange(1, 40), rng.randrange(1, 10 ** 9)])
+        if big:
+            ai = rng.choice([1, 2, rng.randrange(1 << 64, 1 << 90)])
+        n = rng.choice([2, 2, 3, rng.randint(2, 60)])
+        pool = [rng.randrange(ai) for _ in range(rng.randint(1, 8))]
+        if t % 4 == 0 and ai % 2 == 0:  # 2r = 0 mod ai: a residue pairs only with itself
+            pool.append(ai // 2)
+        if t % 5 == 0:
+            pool.append(0)
+        res = [rng.choice(pool) if rng.random() < 0.7 else rng.randrange(ai) for _ in range(n)]
+        expected = _brute_first_pair(res, ai)
+        arr = np.array(res, dtype=object if big else np.int64)
+        assert _first_pair(arr, ai) == expected, (res, ai)
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+    for res, ai, pair in (([0, 0], 5, (0, 1)), ([3, 1, 3], 6, (0, 2)), ([3, 1], 6, None),
+                          ([1, 2, 0, 0], 3, (0, 1)), ([0, 1, 0], 2, (0, 2)), ([0, 0, 0], 1, (0, 1))):
+        assert _first_pair(np.array(res), ai) == pair == _brute_first_pair(res, ai)
+
+
+def test_lex_rank_is_the_position_among_combinations():
+    for n in range(3, 14):
+        for rank, (i, j, k) in enumerate(itertools.combinations(range(n), 3), 1):
+            assert verify._lex_rank(n, i, j, k) == rank, (n, i, j, k)
 
 
 def _assert_scan_matches(seq, naive=True):
@@ -415,11 +452,27 @@ def _mixed_sequences(rng, count):
         yield seq
 
 
+def _walk_outnumbers_tail(seq, i):
+    """Do the m with m a_i in [a_{i+1} + a_t, a_{n-1} + a_t], over the
+    non-squares a_t, t > i, outnumber i's tail?"""
+    walk = 0
+    for v in seq[i + 1:]:
+        if math.isqrt(v) ** 2 != v:
+            lo = -(-(seq[i + 1] + v) // seq[i])  # the ceiling
+            walk += max(0, (seq[-1] + v) // seq[i] - lo + 1)
+    return walk > len(seq) - 1 - i
+
+
 def test_array_passes_match_the_cubic_loop(monkeypatch):
     seen = []
     passes = verify._non_square_pairs
-    monkeypatch.setattr("propp.verify._non_square_pairs",
-                        lambda *args: seen.append(passes(*args)) or seen[-1])
+
+    def record(a_np, at, *args):
+        flagged = passes(a_np, at, *args)
+        a = a_np.tolist()
+        seen.extend((bool(f), _walk_outnumbers_tail(a, i)) for f, i in zip(flagged, at.tolist()))
+        return flagged
+    monkeypatch.setattr("propp.verify._non_square_pairs", record)
     rng = random.Random(21)
     scale = 7 ** 40  # a class-3 square: squares stay squares and roots stay in the lattice
     for shift in (1, scale):
@@ -432,7 +485,8 @@ def test_array_passes_match_the_cubic_loop(monkeypatch):
             outcomes.add(verdict.holds)
         assert outcomes == {True, False}
         # the lookup found a non-square pair, and a long walk left an index undecided
-        assert any(found.any() for found, _ in seen) and any(u.any() for _, u in seen)
+        assert (True, False) in seen and (True, True) in seen
+        assert (False, True) not in seen
 
 
 def test_lookups_split_into_blocks(monkeypatch):
@@ -470,10 +524,15 @@ def test_union_matches_the_scan_on_s():
 def test_union_finds_a_planted_root(monkeypatch):
     # 21 divides the roots 63 (layer 1) and 7^2 * 3 * 11 (layer 2); r = 3 * 7
     # * 19 * 23 is planted with 2r and 5r, which no root of S divides: each
-    # root has a square factor q_i^2, and r, 2r and 5r are squarefree
+    # root has a square factor q_i^2, and r, 2r and 5r are squarefree; so is
+    # big = 1000003 r, whose tail's squares are past 2^63 (among S <= 10^8,
+    # as the generic scan of Python ints is slow)
     r = 3 * 7 * 19 * 23
-    for planted in ((21,), (r, 2 * r, 5 * r)):
-        verdict, values = _union_verdict_matches_the_scan(10 ** 12, monkeypatch, planted)
+    big = 1000003 * r
+    assert is_prime(1000003) and (5 * big) ** 2 >= 1 << 63
+    for limit, planted in ((10 ** 12, (21,)), (10 ** 12, (r, 2 * r, 5 * r)),
+                           (10 ** 8, (big, 2 * big, 5 * big))):
+        verdict, values = _union_verdict_matches_the_scan(limit, monkeypatch, planted)
         assert not verdict.holds and verdict.witness_indices == _generic_scan(values)
         assert values[verdict.witness_indices[0]] == planted[0] ** 2
 
