@@ -23,9 +23,11 @@ bracket, or a combination of the two.  Two families of quantities:
 * The Gamma-normalised Euler product
       h(x) = (1/Gamma(x/2+1)) prod_p (1 - 1/p)^(x/2) (1 + x lambda(p)/p)
   together with its second derivative h'' = f(x) * prod(...), where f
-  collects five Gamma/prime-sum terms.  h'' enters the second-order
-  correction of the class-restricted k-almost-prime expansion and is
-  bounded below on the window [99/300, 101/300].
+  collects five Gamma/prime-sum terms.  One class-3 pass per h-family
+  call gives f and the product at every x it asks for (`_h_family`).
+  h'' enters the second-order correction of the class-restricted
+  k-almost-prime expansion and is bounded below on the window
+  [99/300, 101/300].
 
 Published bounds re-checked here as executable assertions are kept as
 module constants next to their truncation allowances.
@@ -198,8 +200,7 @@ def _truncation_sums(plimit: int) -> tuple[float, float]:
     the primes <= T."""
     [log_sum] = _tree_sums(primes_upto(plimit), [
         lambda p, out: np.log1p(np.divide(-1.0, p, out=out), out=out)])
-    [class3_sum] = _tree_sums(class3_upto(plimit), [
-        lambda q, out: np.divide(1.0, q, out=out)])
+    [(class3_sum,)] = _class3_sums([0.0], plimit, "recip")
     return log_sum, class3_sum
 
 
@@ -287,10 +288,17 @@ def _check_h_domain(x: float) -> None:
         raise DomainError(f"h family evaluated on {_H_DOMAIN}, got {x}")
 
 
-def _euler_products(xs, plimit: int) -> list[float]:
+def _h_family(xs, plimit: int) -> list[tuple[float, float]]:
+    """(f(x), euler_product(x)) for each x in xs, from one class-3 pass."""
     log_sum = _truncation_sums(plimit)[0]
-    return [math.exp((x / 2.0) * log_sum + s)
-            for x, (s,) in zip(xs, _class3_sums(xs, plimit, "log1p"))]
+    family = []
+    for x, (r, s2, s) in zip(xs, _class3_sums(xs, plimit, "recip", "recip_sq", "log1p")):
+        t = 0.5 * log_sum + r
+        g = gamma_triple(x)
+        family.append((t * t / g.gamma - g.gamma2 / (4.0 * g.gamma ** 2) - s2 / g.gamma
+                       - g.gamma1 * t / g.gamma ** 2 + g.gamma1 ** 2 / (2.0 * g.gamma ** 3),
+                       math.exp((x / 2.0) * log_sum + s)))
+    return family
 
 
 def euler_product(x: float, plimit: int) -> float:
@@ -301,25 +309,14 @@ def euler_product(x: float, plimit: int) -> float:
     """
     _check_h_domain(x)
     require_int("euler product truncation limit", plimit, 10 ** 4)
-    return _euler_products([x], plimit)[0]
+    return _h_family([x], plimit)[0][1]
 
 
 def h_eval(x: float, plimit: int) -> float:
     """h(x): the Euler product divided by Gamma(x/2 + 1).  h(0) = 1 exactly."""
     _check_h_domain(x)
     require_int("h truncation limit", plimit, 10 ** 4)
-    return _euler_products([x], plimit)[0] / math.gamma(x / 2.0 + 1.0)
-
-
-def _h_second_factors(xs, plimit: int) -> list[float]:
-    half_log_sum = 0.5 * _truncation_sums(plimit)[0]
-    fs = []
-    for x, (r, s2) in zip(xs, _class3_sums(xs, plimit, "recip", "recip_sq")):
-        t = half_log_sum + r
-        g = gamma_triple(x)
-        fs.append(t * t / g.gamma - g.gamma2 / (4.0 * g.gamma ** 2) - s2 / g.gamma
-                  - g.gamma1 * t / g.gamma ** 2 + g.gamma1 ** 2 / (2.0 * g.gamma ** 3))
-    return fs
+    return _h_family([x], plimit)[0][1] / math.gamma(x / 2.0 + 1.0)
 
 
 def h_second_factor(x: float, plimit: int) -> float:
@@ -332,7 +329,7 @@ def h_second_factor(x: float, plimit: int) -> float:
     """
     _check_h_domain(x)
     require_int("h'' truncation limit", plimit, 10 ** 4)
-    return _h_second_factors([x], plimit)[0]
+    return _h_family([x], plimit)[0][0]
 
 
 _FD_STEP = 1e-4
@@ -344,14 +341,15 @@ def h_second(x: float, plimit: int, method: str = "analytic") -> float:
     _check_h_domain(x)
     require_int("h'' truncation limit", plimit, 10 ** 4)
     if method == "analytic":
-        return h_second_factor(x, plimit) * euler_product(x, plimit)
+        [(f, product)] = _h_family([x], plimit)
+        return f * product
     if method == "numeric":
         if not _H_DOMAIN[0] + _FD_STEP <= x <= _H_DOMAIN[1] - _FD_STEP:
             raise DomainError(f"numeric h'' needs an interior point, got {x}")
         steps = (_FD_STEP, _FD_STEP / 2.0)
         points = [x] + [x + d for step in steps for d in (step, -step)]
         center, *sides = [e / math.gamma(t / 2.0 + 1.0)
-                          for t, e in zip(points, _euler_products(points, plimit))]
+                          for t, (_, e) in zip(points, _h_family(points, plimit))]
         coarse, fine = ((hi - 2.0 * center + lo) / (step * step)
                         for step, hi, lo in zip(steps, sides[::2], sides[1::2]))
         return (4.0 * fine - coarse) / 3.0
@@ -509,14 +507,13 @@ def bounds_report(constant_plimit: int = DEFAULT_CONSTANT_PLIMIT,
         f"grid within ({PRIME_LOG_SUM_BRACKET[0]}, {PRIME_LOG_SUM_BRACKET[1]})",
         all(PRIME_LOG_SUM_BRACKET[0] < s < PRIME_LOG_SUM_BRACKET[1] for s in sums))
 
-    products = _euler_products(grid, h_plimit)
+    *family, (f_third, product_third) = _h_family(grid + [1.0 / 3.0], h_plimit)
+    fs, products = zip(*family)
     add("product_upper", max(products), f"< {PRODUCT_UPPER_BOUND}",
         max(products) < PRODUCT_UPPER_BOUND)
-
-    fs = _h_second_factors(grid, h_plimit)
     add("f_lower", min(fs), f">= {F_LOWER_BOUND}", min(fs) >= F_LOWER_BOUND)
 
-    h2 = h_second(1.0 / 3.0, h_plimit, "analytic")
+    h2 = f_third * product_third  # h_second(1/3, h_plimit, "analytic")
     add("h_second_lower", h2, f"> {H_SECOND_LOWER_BOUND}",
         h2 > H_SECOND_LOWER_BOUND)
 

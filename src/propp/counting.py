@@ -317,25 +317,36 @@ def count_s(limit: int, exclude_qi: bool = False) -> tuple[int, dict[int, int]]:
     return _pi_k(x, 1, counter), per_index
 
 
+def _log_logs(x, needs: str = "needs x > e^e") -> tuple[float, float]:
+    """(log x, log log x) for x > e^e, else DomainError(f"{needs}, got {x}")."""
+    if not x > _E_TO_E:
+        raise DomainError(f"{needs}, got {x}")
+    lx = math.log(x)
+    return lx, math.log(lx)
+
+
+def _main_term(lx: float, llx: float, k: int, shift: float = 0.0) -> float:
+    """exp(shift + lx - log lx + (k-1) log llx - log (k-1)!), or inf past
+    float range: x (log log x)^(k-1) / ((k-1)! log x), scaled by e^shift."""
+    power = (k - 1) * math.log(llx) if k > 1 else 0.0
+    try:
+        return math.exp(shift + lx - math.log(lx) + power - math.lgamma(k))
+    except OverflowError:
+        return math.inf
+
+
 def landau_term(x, k: int) -> float:
     """Landau's asymptotic term for integers with k distinct prime factors.
 
     Needs log log x > 1 (x > e^e) for k >= 2 so the powers are positive
     and meaningful; the k = 1 specialisation x / log x only needs x > e.
     """
-    require_int("k", k)
-    if k == 1:
-        if not x > _E:
-            raise DomainError(f"landau term at k=1 needs x > e, got {x}")
-    elif not x > _E_TO_E:
-        raise DomainError(f"landau term needs x > e^e for k >= 2, got {x}")
+    if require_int("k", k) > 1:
+        return _main_term(*_log_logs(x, "landau term needs x > e^e for k >= 2"), k)
+    if not x > _E:
+        raise DomainError(f"landau term at k=1 needs x > e, got {x}")
     lx = math.log(x)
-    llx = math.log(lx)
-    power = 0.0 if k == 1 else (k - 1) * math.log(llx)
-    try:
-        return math.exp(lx - math.log(lx) + power - math.lgamma(k))
-    except OverflowError:
-        return math.inf
+    return _main_term(lx, math.log(lx), 1)
 
 
 def meng_estimate(x, k: int, mode: str = "main", *,
@@ -354,19 +365,12 @@ def meng_estimate(x, k: int, mode: str = "main", *,
     require_int("k", k)
     if k < 2:
         raise DomainError(f"expansion holds for k >= 2, got k = {k}")
-    if not x > _E_TO_E:
-        raise DomainError(f"expansion needs x > e^e, got {x}")
-    lx = math.log(x)
-    llx = math.log(lx)
+    lx, llx = _log_logs(x, "expansion needs x > e^e")
     if k > DEFAULT_UNIFORMITY_A * llx:
         raise DomainError(
             f"k = {k} exceeds the uniformity bound A log log x = "
             f"{DEFAULT_UNIFORMITY_A * llx:.4f} (A = {DEFAULT_UNIFORMITY_A})")
-    try:
-        main = math.exp(-k * math.log(2.0) + lx - math.log(lx)
-                        + (k - 1) * math.log(llx) - math.lgamma(k))
-    except OverflowError:
-        main = math.inf
+    main = _main_term(lx, llx, k, -k * math.log(2.0))
     if mode == "main":
         return main
     c34_value = constants.c34(c34_limit).value
@@ -380,17 +384,12 @@ def meng_estimate(x, k: int, mode: str = "main", *,
 
 def meng_neglected_scale(x, k: int) -> float:
     """Magnitude k^2/(log log x)^3 of the dropped remainder term."""
-    if not x > _E_TO_E:
-        raise DomainError(f"needs x > e^e, got {x}")
-    llx = math.log(math.log(x))
-    return k * k / llx ** 3
+    return k * k / _log_logs(x)[1] ** 3
 
 
 def corollary_window(x) -> tuple[float, float]:
     """Admissible k range (log log x)/2 - 1 .. (log log x)/2 + sqrt((log log x)/2)."""
-    if not x > _E_TO_E:
-        raise DomainError(f"needs x > e^e, got {x}")
-    half = math.log(math.log(x)) / 2.0
+    half = _log_logs(x)[1] / 2.0
     return half - 1.0, half + math.sqrt(half)
 
 

@@ -222,8 +222,7 @@ def test_one_buffer_sums_equal_the_per_point_expressions(plimit):
     assert class3_sum == np.sum(1.0 / q)
     # the scalar functions are one-point grids: bit for bit the grid entries
     sums = constants._prime_log_sums(xs, plimit)
-    products = constants._euler_products(xs, plimit)
-    fs = constants._h_second_factors(xs, plimit)
+    fs, products = zip(*constants._h_family(xs, plimit))
     for x, (recip, recip_sq, _), s, prod, f in zip(xs, rows, sums, products, fs):
         assert s == 0.5 * log_sum + recip
         if x <= 1.0:
@@ -247,10 +246,12 @@ def test_bounds_report_reads_the_class3_store_once_per_truncation_and_grid(
     constants._truncation_sums.cache_clear()
     bounds_report(10 ** 6, 10 ** 5)
     # 10^6: the truncation sums and the prime-log-sum grid.  10^5: the
-    # truncation sums (the decade drift), the product grid, the f grid, and
-    # f and the product for h''(1/3), which the corollary constant reuses.
-    # 10^4: lambda/p^2.
-    assert sorted(reads) == [10 ** 4] + [10 ** 5] * 5 + [10 ** 6] * 2
+    # truncation sums (the decade drift) and one h-family pass for the grid
+    # and h''(1/3), which the corollary constant reuses.  10^4: lambda/p^2.
+    assert sorted(reads) == [10 ** 4] + [10 ** 5] * 2 + [10 ** 6] * 2
+    reads.clear()
+    constants.h_second(1 / 3, 10 ** 5)  # the truncation sums are memoised
+    assert reads == [10 ** 5]
 
 
 def test_bounds_report_makes_no_prime_length_float_array():

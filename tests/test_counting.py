@@ -725,6 +725,42 @@ def test_meng_main_equals_landau_over_2k():
         assert main == pytest.approx(landau_term(x, k) / 2 ** k, rel=1e-12)
 
 
+def test_main_terms_keep_their_bits():
+    # the formulas as landau_term and meng_estimate("main") each wrote them
+    # before they shared one main term: the same floats, bit for bit
+    def landau(x, k):
+        lx = math.log(x)
+        llx = math.log(lx)
+        power = 0.0 if k == 1 else (k - 1) * math.log(llx)
+        try:
+            return math.exp(lx - math.log(lx) + power - math.lgamma(k))
+        except OverflowError:
+            return math.inf
+
+    def meng_main(x, k):
+        lx = math.log(x)
+        llx = math.log(lx)
+        try:
+            return math.exp(-k * math.log(2.0) + lx - math.log(lx)
+                            + (k - 1) * math.log(llx) - math.lgamma(k))
+        except OverflowError:
+            return math.inf
+
+    rng = random.Random(5)
+    xs = [3, 10, 15, 16, 17.5, 10 ** 6, 10 ** 308, 10 ** 309, 10 ** 4000]
+    xs += [rng.randrange(16, 10 ** rng.randint(2, 4000)) for _ in range(400)]
+    xs += [10 ** rng.uniform(1.3, 300) for _ in range(100)]
+    checked = 0
+    for x in xs:
+        for k in (1, 2, 3, 5, 8):
+            if k == 1 or x > math.exp(math.e):
+                assert landau_term(x, k) == landau(x, k), (x, k)
+            if k > 1 and x > math.exp(math.e) and k <= 2.0 * math.log(math.log(x)):
+                assert meng_estimate(x, k, "main") == meng_main(x, k), (x, k)
+                checked += 1
+    assert checked > 1000
+
+
 def test_meng_full_identity_at_k2():
     # at k = 2 the curvature term vanishes, leaving 1 + C(3,4)/log log x
     x = 10 ** 8

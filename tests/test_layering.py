@@ -24,3 +24,15 @@ def test_modules_import_only_earlier_modules():
     for at, mod in enumerate(CHAIN):
         later = _imported(mod + ".py") - set(CHAIN[:at])
         assert not later, f"{mod} imports {sorted(later)}, which come after it"
+
+
+def test_every_private_function_has_a_caller():
+    trees = [ast.parse(open(os.path.join(PKG, f), encoding="utf-8").read())
+             for f in sorted(os.listdir(PKG)) if f.endswith(".py")]
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = sorted(private - used)
+    assert len(private) >= 30 and not unused, f"no caller in the package: {unused}"

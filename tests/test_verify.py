@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,21 @@ def test_lemma1_reports_smallest_prime():
     # 7 and 3 both divide n1 = 21; 3 divides the gcd, 7 does not
     r = check_lemma1(21, 6, 9)
     assert r.outcome == APPLICABLE_VERIFIED and r.prime == 7
+
+
+def test_lemma1_walks_the_prime_store_in_blocks():
+    # both stop within the first primes; the whole store to 10^7 as one
+    # list of Python ints traced 22.8 MiB
+    primes_upto(10 ** 7)
+    tracemalloc.start()
+    try:
+        first = check_lemma1(10_000_019 * 300_000_000_091, 1, 2)
+        second = check_lemma1(7 * 10_000_019 * 10_000_079, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (first.prime, second.prime) == (11, 7)
+    assert peak < 8 * 1024 * 1024, peak
 
 
 def test_lemma1_guards():
