@@ -188,8 +188,9 @@ def _class3_counter(x: int, k: int):
     pi_k(x;4,3), or None once q_1...q_k > x: the store when it
     covers the largest leaf L = x // (q_1...q_{k-1}), else the cheaper
     within _WORK_BUDGET of a Lucy_Hedgehog table for x (sieving to sqrt(x))
-    and the store filled to L, a unit an integer: ~3 ns of sieve, but ~0.7 byte of
-    store (70 MB at 10^8) against ~1.9 bytes a table unit (70 MB at 10^12)."""
+    and the store filled to L, a unit an integer: ~2-3 ns of sieve (0.2 s at
+    10^8, 3 s at 10^9), but ~0.7 byte of store (67 MB at 10^8) against ~1.9
+    bytes a table unit (70 MB at 10^12)."""
     smallest: list[int] = []
     for j in range(1, k + 1):
         smallest.append(nth_q(j))

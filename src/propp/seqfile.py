@@ -60,8 +60,12 @@ def read_sequence(path: str) -> list[int]:
         return parse_sequence(fh.read(), source=path)
 
 
-# values per block of text the array path formats and writes at once
-_WRITE_CHUNK = 1 << 18
+# values per block of text the array path formats and writes at once: the
+# 2.88M class-3 primes to 10^8 took 0.045-0.05 s in blocks of 2^16, 0.06 s in
+# blocks of 2^14 or 2^18.  A digit is block - (block // 10) * 10, since numpy
+# divides fast only in // by a scalar: on 2^16 uint32 values np.divmod(block,
+# 10) took 190-300 us, block // 10 12-14 us
+_WRITE_CHUNK = 1 << 16
 
 
 def write_sequence(values: Iterable[int], stream: IO[str]) -> None:
@@ -79,8 +83,8 @@ def write_sequence(values: Iterable[int], stream: IO[str]) -> None:
 
 def _write_array(values: np.ndarray, stream: IO[str]) -> None:
     """The lines of an ascending positive int64 or uint32 array, grouped by
-    digit count: each block is an (n, d + 1) matrix of ASCII digits and
-    newlines."""
+    digit count: each block is a (d + 1, n) matrix of ASCII digits and
+    newlines, one row per digit position, transposed once to n lines."""
     # values below 10^d end at ends[d - 1].  The keys take the array's dtype,
     # or np.searchsorted would copy a uint32 array to int64; so only the
     # powers of ten that dtype holds.  Computed here, not at import, where a
@@ -91,9 +95,11 @@ def _write_array(values: np.ndarray, stream: IO[str]) -> None:
     for digits, (lo, end) in enumerate(zip([0] + ends, ends), start=1):
         for start in range(lo, end, _WRITE_CHUNK):
             block = values[start:min(start + _WRITE_CHUNK, end)]
-            text = np.empty((len(block), digits + 1), dtype=np.uint8)
-            text[:, digits] = ord("\n")
-            for col in range(digits - 1, -1, -1):
-                block, text[:, col] = np.divmod(block, 10)
-            text[:, :digits] += ord("0")
-            stream.write(text.tobytes().decode("ascii"))
+            text = np.empty((digits + 1, len(block)), dtype=np.uint8)
+            text[digits] = ord("\n")
+            for row in range(digits - 1, -1, -1):
+                q = block // 10
+                text[row] = block - q * 10
+                block = q
+            text[:digits] += ord("0")
+            stream.write(text.T.copy().tobytes().decode("ascii"))

@@ -242,6 +242,14 @@ def _written(values) -> str:
     return buf.getvalue()
 
 
+class _Recording:
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+
+
 def test_array_writer_matches_the_value_loop(monkeypatch):
     blocks = []
     array_path = seqfile._write_array
@@ -266,7 +274,16 @@ def test_array_writer_matches_the_value_loop(monkeypatch):
         values = list(values)
         assert _written(np.array(values, dtype=np.uint32)) == \
             "".join(f"{v}\n" for v in values), values[:3]
-    assert len(blocks) == len(arrays) + len(arrays32)
+    # one digit group of chunk - 1, chunk and chunk + 1 values: the last
+    # splits into a full block and a one-value block
+    for dtype, first in ((np.int64, 10 ** 12), (np.uint32, top - chunk)):
+        for n in (chunk - 1, chunk, chunk + 1):
+            values, stream = range(first, first + n), _Recording()
+            write_sequence(np.array(values, dtype=dtype), stream)
+            assert "".join(stream.texts) == "".join(f"{v}\n" for v in values)
+            assert [t.count("\n") for t in stream.texts] == \
+                [min(n, chunk)] + [1] * (n > chunk), (dtype, n)
+    assert len(blocks) == len(arrays) + len(arrays32) + 6
     blocks.clear()
     # the rest goes value by value, to the same bytes
     fallbacks = [np.array([5, 3, 9], dtype=np.int64), np.array([4, 4], dtype=np.int64),
@@ -288,7 +305,8 @@ class _Discard:
 
 def test_array_writer_formats_uint32_without_an_int64_copy():
     # 16 MB of uint32 values past 10^9: an int64 copy of the array alone
-    # would take 32 MB; the writer's blocks of 2^18 values take ~10 MB
+    # would take 32 MB; the writer's blocks of 2^16 values took 4.0 MiB
+    # (9.25 MiB in blocks of 2^18 split by np.divmod)
     values = np.arange(2 ** 32 - 2 ** 22, 2 ** 32, dtype=np.uint32)
     tracemalloc.start()
     try:
@@ -296,7 +314,7 @@ def test_array_writer_formats_uint32_without_an_int64_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < values.nbytes
+    assert peak < values.nbytes // 3
 
 
 def test_sequence_file_format_errors():

@@ -444,7 +444,7 @@ def test_sieve_csv_at_1e8_cold(tmp_path):
         expected = json.load(fh)["sieve_csv"]["sha256"]
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
-    assert peak_kb < 100 * 1024
+    assert peak_kb < 80 * 1024  # 67 MB measured, 73 MB with blocks of 2^18
 
 
 def test_store_fill_at_1e8_holds_little_beyond_its_arrays():

@@ -85,6 +85,9 @@ def test_store_grows_by_sieving_only_the_new_range(monkeypatch):
     for limit in (10 ** 3, 10 ** 5, 10 ** 6):
         assert primes_upto(limit).tolist() == \
             expected[:np.searchsorted(expected, limit, side="right")].tolist()
+        # each growth appends its class-3 members in place, behind the old ones
+        p = primes_upto(limit)
+        assert np.array_equal(class3_upto(limit), p[(p & 3) == 3]), limit
     assert ranges == [(2, 1 << 16), ((1 << 16) + 1, 1 << 17), ((1 << 17) + 1, 10 ** 6)]
     assert np.array_equal(primes_upto(10 ** 6), expected)
     assert np.array_equal(class3_upto(10 ** 6), expected[(expected & 3) == 3])
