@@ -158,7 +158,7 @@ def cmd_construct(args, out) -> int:
             "elements": [asdict(e) for e in elements],
         }, out)
         return 0
-    roots = (construct.s_roots(args.limit, args.exclude_qi) if args.all else
+    roots = (construct.s_roots(args.limit, args.exclude_qi)[0] if args.all else
              construct.s_i_roots(args.set_index, args.limit, args.exclude_qi)[0])
     # roots below 2^31 square within int64, which the array writer formats
     small = roots.dtype != object and all(roots[-1:] < 1 << 31)
@@ -334,84 +334,98 @@ def _add_common(parser, emits, default_emit, fn):
     parser.add_argument("--threads", type=_int_arg, help="ignored: the sieve is serial")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("sieve", "construct", "baseline", "verify", "lemma1", "pik", "compare",
+             "count-s", "constants", "bounds", "envelope", "theorem-terms")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The `propp` parser, with every subcommand, or with `command` only:
+    the full parser then reports the top level's errors, so their usage
+    lines list every subcommand."""
     top = argparse.ArgumentParser(
         prog="propp",
         description="Property-P set construction, verification and counting")
+    if command is not None:
+        top.error = lambda message: build_parser().error(message)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", help="list primes in the class 3 mod 4")
-    p.add_argument("--limit", type=_int_arg, required=True)
-    _add_common(p, ("json", "csv"), "csv", cmd_sieve)
+    def add(name, help_text):
+        return sub.add_parser(name, help=help_text) if command in (None, name) else None
 
-    p = sub.add_parser("construct", help="enumerate the set S or one layer S_i")
-    p.add_argument("--set-index", type=_int_arg)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--limit", type=_int_arg, required=True)
-    p.add_argument("--exclude-qi", action="store_true",
-                   help="require nu coprime to q_i")
-    _add_common(p, ("plain", "json"), "plain", cmd_construct)
+    if p := add("sieve", "list primes in the class 3 mod 4"):
+        p.add_argument("--limit", type=_int_arg, required=True)
+        _add_common(p, ("json", "csv"), "csv", cmd_sieve)
 
-    p = sub.add_parser("baseline", help="classical baseline sequences")
-    p.add_argument("--kind", choices=("squares", "block"), required=True)
-    p.add_argument("--limit", type=_int_arg)
-    p.add_argument("--x", type=_int_arg)
-    _add_common(p, ("plain", "json"), "plain", cmd_baseline)
+    if p := add("construct", "enumerate the set S or one layer S_i"):
+        p.add_argument("--set-index", type=_int_arg)
+        p.add_argument("--all", action="store_true")
+        p.add_argument("--limit", type=_int_arg, required=True)
+        p.add_argument("--exclude-qi", action="store_true",
+                       help="require nu coprime to q_i")
+        _add_common(p, ("plain", "json"), "plain", cmd_construct)
 
-    p = sub.add_parser("verify", help="decide Property P for a sequence file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--force", action="store_true")
-    _add_common(p, ("json",), "json", cmd_verify)
+    if p := add("baseline", "classical baseline sequences"):
+        p.add_argument("--kind", choices=("squares", "block"), required=True)
+        p.add_argument("--limit", type=_int_arg)
+        p.add_argument("--x", type=_int_arg)
+        _add_common(p, ("plain", "json"), "plain", cmd_baseline)
 
-    p = sub.add_parser("lemma1", help="square-sum divisibility witness test")
-    p.add_argument("n1", type=_int_arg)
-    p.add_argument("n2", type=_int_arg)
-    p.add_argument("n3", type=_int_arg)
-    _add_common(p, ("plain", "json"), "plain", cmd_lemma1)
+    if p := add("verify", "decide Property P for a sequence file"):
+        p.add_argument("--input", required=True)
+        p.add_argument("--force", action="store_true")
+        _add_common(p, ("json",), "json", cmd_verify)
 
-    p = sub.add_parser("pik", help="count k-almost-primes in the class")
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--k", type=_int_arg, required=True)
-    p.add_argument("--mode", choices=("exact", "main", "full", "all"),
-                   default="exact")
-    _add_plimits(p)
-    _add_common(p, ("json",), "json", cmd_pik)
+    if p := add("lemma1", "square-sum divisibility witness test"):
+        p.add_argument("n1", type=_int_arg)
+        p.add_argument("n2", type=_int_arg)
+        p.add_argument("n3", type=_int_arg)
+        _add_common(p, ("plain", "json"), "plain", cmd_lemma1)
 
-    p = sub.add_parser("compare", help="exact counts against the asymptotics")
-    p.add_argument("--x-grid", type=_int_list, required=True)
-    p.add_argument("--k-set", type=_int_list, required=True)
-    _add_plimits(p)
-    _add_common(p, ("csv", "json"), "csv", cmd_compare)
+    if p := add("pik", "count k-almost-primes in the class"):
+        p.add_argument("--x", type=_int_arg, required=True)
+        p.add_argument("--k", type=_int_arg, required=True)
+        p.add_argument("--mode", choices=("exact", "main", "full", "all"),
+                       default="exact")
+        _add_plimits(p)
+        _add_common(p, ("json",), "json", cmd_pik)
 
-    p = sub.add_parser("count-s", help="per-layer counts and the envelope")
-    p.add_argument("--limit", type=_int_arg, required=True)
-    p.add_argument("--exclude-qi", action="store_true")
-    _add_common(p, ("json", "plain"), "json", cmd_count_s)
+    if p := add("compare", "exact counts against the asymptotics"):
+        p.add_argument("--x-grid", type=_int_list, required=True)
+        p.add_argument("--k-set", type=_int_list, required=True)
+        _add_plimits(p)
+        _add_common(p, ("csv", "json"), "csv", cmd_compare)
 
-    p = sub.add_parser("constants", help="all named constants with bound checks")
-    _add_plimits(p)
-    _add_common(p, ("json",), "json", cmd_constants)
+    if p := add("count-s", "per-layer counts and the envelope"):
+        p.add_argument("--limit", type=_int_arg, required=True)
+        p.add_argument("--exclude-qi", action="store_true")
+        _add_common(p, ("json", "plain"), "json", cmd_count_s)
 
-    p = sub.add_parser("bounds", help="run the inequality suite, exit 1 on failure")
-    _add_plimits(p)
-    _add_common(p, ("plain", "json"), "plain", cmd_bounds)
+    if p := add("constants", "all named constants with bound checks"):
+        _add_plimits(p)
+        _add_common(p, ("json",), "json", cmd_constants)
 
-    p = sub.add_parser("envelope", help="the counting-function envelope at x")
-    p.add_argument("--x", type=_magnitude, required=True)
-    _add_common(p, ("json",), "json", cmd_envelope)
+    if p := add("bounds", "run the inequality suite, exit 1 on failure"):
+        _add_plimits(p)
+        _add_common(p, ("plain", "json"), "plain", cmd_bounds)
 
-    p = sub.add_parser("theorem-terms", help="per-layer bound factors at (x, j)")
-    p.add_argument("--x", type=_magnitude)
-    p.add_argument("--log-x", type=float)
-    p.add_argument("--j", type=_int_arg, required=True)
-    _add_common(p, ("json",), "json", cmd_theorem_terms)
+    if p := add("envelope", "the counting-function envelope at x"):
+        p.add_argument("--x", type=_magnitude, required=True)
+        _add_common(p, ("json",), "json", cmd_envelope)
+
+    if p := add("theorem-terms", "per-layer bound factors at (x, j)"):
+        p.add_argument("--x", type=_magnitude)
+        p.add_argument("--log-x", type=float)
+        p.add_argument("--j", type=_int_arg, required=True)
+        _add_common(p, ("json",), "json", cmd_theorem_terms)
 
     return top
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # only the named subcommand's parser: building all twelve took ~3 ms
+        args = build_parser(argv[0] if argv[:1] and argv[0] in _COMMANDS else None).parse_args(argv)
         with _output(args.out) as out:
             return args.fn(args, out)
     except (PropPError, OSError) as exc:

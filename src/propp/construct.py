@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -82,54 +83,77 @@ def _elements(i: int, roots: np.ndarray, rows: np.ndarray) -> list[SetElement]:
 def layer_roots(i: int, limit: int, exclude_qi: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(the roots q_i^2 nu of S_i up to `limit`, ascending: int64, or Python
     ints once one could pass 2^63; the (n, i) rows of nu's primes), not
-    counted first: `prime_tuples` over nu's primes, each level's appended
-    to its prefixes' rows."""
+    counted first."""
+    rows = next(_layer_rows(i, limit, exclude_qi), np.zeros((0, i), np.uint32))
+    q = nth_q(i)
+    dtype = np.int64 if q * q * nu_bound(i, limit) < 1 << 63 else object
+    roots = q * q * np.prod(rows, axis=1, dtype=dtype)
+    order = np.argsort(roots, kind="stable")
+    return roots[order], rows[order]
+
+
+def _layer_rows(i: int, limit: int, exclude_qi: bool, block: Optional[int] = None):
+    """The (n, i) uint32 rows of nu's primes for S_i up to `limit`, in
+    `prime_tuples`' order, `block` rows at a time (all at once without):
+    each level's primes appended to its prefixes' rows."""
     q = nth_q(i)
     nu_max = nu_bound(i, limit)
     smallest = _smallest_nu_primes(i, exclude_qi)
     if math.prod(smallest) > nu_max:
-        return np.zeros(0, np.int64), np.zeros((0, i), np.uint32)
+        return
     # the largest factor of any admissible nu divides out the i-1 smallest
     # admissible primes, so the sieve never needs to reach nu_max itself
     primes = class3_upto(nu_max // math.prod(smallest[:-1]))
     if exclude_qi:
         primes = primes[primes != q]
-    rows = np.zeros((1, 0), np.uint32)
-    for _, last, owner in prime_tuples(primes, nu_max, i, i):
-        rows = np.column_stack([rows[owner], primes[last]])
-    roots = q * q * np.prod(rows, axis=1, dtype=np.int64 if q * q * nu_max < 1 << 63 else object)
-    order = np.argsort(roots, kind="stable")
-    return roots[order], rows[order]
+    prefix = np.zeros((1, 0), np.uint32)
+    for _, last, owner in prime_tuples(primes, nu_max, i, i, block):
+        rows = np.column_stack([prefix[owner], primes[last]])
+        if rows.shape[1] == i:
+            yield rows
+        else:
+            prefix = rows
 
 
-def s_roots(limit: int, exclude_qi: bool = False, root_bytes: int = S_ELEMENT_BYTES) -> np.ndarray:
-    """The roots of S up to `limit`, ascending; counted first, so past the
-    memory budget at `root_bytes` a root ResourceError comes before any."""
-    return _ascending([roots for _, roots, _ in _layers(limit, exclude_qi, root_bytes)])
+# rows of a layer built at once by `s_roots`: its working arrays stay small
+# beside the roots and rows it keeps
+_ROW_BLOCK = 1 << 12
+
+
+def s_roots(limit: int, exclude_qi: bool = False, root_bytes: int = S_ELEMENT_BYTES,
+            factor_bytes: int = 0) -> tuple[np.ndarray, list]:
+    """(the roots of S up to `limit`, ascending int64; (q_i, the (n, i)
+    uint32 rows of nu's primes) for each layer i, so a root is q_i^2 times
+    the product of a row).  Counted first, so past the memory budget at
+    `root_bytes` a root and `factor_bytes` a prime of nu ResourceError
+    comes before any.  A root past 2^63 needs a limit past 2^126, where the
+    budget refuses S long before."""
+    counts = count_s(limit, exclude_qi)[1]
+    total = sum(counts.values())
+    price = sum(n * (root_bytes + i * factor_bytes) for i, n in counts.items())
+    require_fits(f"S up to {limit}", total, -(-price // max(total, 1)))
+    roots, layers, end = np.empty(total, np.int64), [], 0
+    for i, n in counts.items():
+        q, rows, start = nth_q(i), np.empty((n, i), np.uint32), end
+        for part in _layer_rows(i, limit, exclude_qi, _ROW_BLOCK):
+            rows[end - start:end - start + len(part)] = part
+            roots[end:end + len(part)] = q * q * np.prod(part, axis=1, dtype=np.int64)
+            end += len(part)
+        if end - start != n:
+            raise AssertionError(f"S_{i} up to {limit} has {end - start} roots, counted {n}")
+        layers.append((q, rows))
+    roots.sort()
+    if np.any(roots[1:] == roots[:-1]):  # the indicator q_i^4 lets no root repeat
+        raise AssertionError(f"indicator uniqueness violated: a root repeats in {roots}")
+    return roots, layers
 
 
 def enumerate_s(limit: int, exclude_qi: bool = False) -> list[SetElement]:
     """The union of all layers up to `limit`, ascending, duplicate-free;
     counted first, so past the memory budget ResourceError comes first."""
-    layers = list(_layers(limit, exclude_qi, S_ELEMENT_BYTES))
-    _ascending([roots for _, roots, _ in layers])  # the layers are disjoint
-    return sorted((e for layer in layers for e in _elements(*layer)), key=lambda e: e.value)
-
-
-def _layers(limit: int, exclude_qi: bool, root_bytes: int):
-    """(i, *layer_roots(i, ...)) for each layer of S up to `limit`, counted first."""
-    layers = count_s(limit, exclude_qi)[1]
-    require_fits(f"S up to {limit}", sum(layers.values()), root_bytes)
-    for i in layers:
-        yield (i, *layer_roots(i, limit, exclude_qi))
-
-
-def _ascending(parts: list) -> np.ndarray:
-    """`parts` in one ascending array, where the indicator q_i^4 lets no root repeat."""
-    roots = np.sort(np.concatenate([np.zeros(0, np.int64), *parts]))
-    if np.any(roots[1:] == roots[:-1]):
-        raise AssertionError(f"indicator uniqueness violated: a root repeats in {roots}")
-    return roots
+    layers = s_roots(limit, exclude_qi)[1]
+    return sorted((e for q, rows in layers for e in _elements(
+        rows.shape[1], q * q * np.prod(rows, axis=1, dtype=np.int64), rows)), key=lambda e: e.value)
 
 
 def baseline_squares(limit: int) -> list[int]:

@@ -243,12 +243,13 @@ def prime_tuples(primes: np.ndarray, bound: int, levels: int, factors: int,
     the index in `primes` of its largest prime p, the index of its prefix in
     level j - 1).  Room is P p^(factors - j) <= bound, or p up to 1 past the
     float root where factors > j; such a p has no room at any later level.
-    Quotients are Python ints until a level's all fit int64.  With `block`
-    the last level comes `block` tuples at a time.  A level is priced before
-    it is built: at _TUPLE_BYTES a tuple against the memory budget, and at
-    _TUPLE_WEIGHT units against _WORK_BUDGET with the tuples before it and
-    a lower bound on those after it (c children of a prefix with exact room
-    make C(c, m + 1) tuples m levels on)."""
+    Quotients are Python ints until a level's all fit int64, and None where
+    j = factors, as no level follows.  With `block` the last level comes
+    `block` tuples at a time.  A level is priced before it is built: at
+    _TUPLE_BYTES a tuple against the memory budget (a blocked level at its
+    block), and at _TUPLE_WEIGHT units against _WORK_BUDGET with the tuples
+    before it and a lower bound on those after it (c children of a prefix
+    with exact room make C(c, m + 1) tuples m levels on)."""
     quot, last, spent = np.array([bound], dtype=object), np.full(1, -1), 0
     for need in range(factors, factors - levels, -1):
         if quot.dtype == object and quot.max() < 1 << 63:
@@ -266,17 +267,22 @@ def prime_tuples(primes: np.ndarray, bound: int, levels: int, factors: int,
         if (price := _TUPLE_WEIGHT * (spent + later)) > _WORK_BUDGET:
             raise ResourceError(f"the {factors}-tuples of primes under {bound} are priced "
                                 f"at {price:.4g} units, past the budget of {_WORK_BUDGET}")
+        blocked = block and need == factors - levels + 1
         require_fits(f"level {factors - need + 1} of the {factors}-tuples under {bound}",
-                     total, _TUPLE_BYTES)
+                     min(total, block) if blocked else total, _TUPLE_BYTES)
         del logs, cap, c, b  # priced: free them before the level is built
         if not total:
             return
-        for owner, offset in blocks(counts, block if block and need == factors - levels + 1
-                                    else total):
-            at = last[owner] + 1 + offset
-            level = quot[owner] // primes[at], at, owner
+        if blocked:
+            parts = ((owner, last[owner] + 1 + offset) for owner, offset in blocks(counts, block))
+        else:  # a whole level is its one block
+            owner = np.repeat(np.arange(len(counts)), counts)
+            at = np.arange(total) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+            parts = [(owner, at)]
+        for owner, at in parts:
+            level = (quot[owner] // primes[at] if need > 1 else None), at, owner
             yield level
-        quot, last = level[:2]  # a whole level is its one block
+        quot, last = level[:2]
 
 
 def nu_bound(i: int, limit: int) -> int:

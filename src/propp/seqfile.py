@@ -5,8 +5,9 @@ empty sequence.
 """
 from __future__ import annotations
 
+import io
 import sys
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +19,13 @@ MAX_INT_DIGITS = min(sys.get_int_max_str_digits() or 10 ** 5, 10 ** 5)
 
 
 def validate_sequence(values: Sequence[int]) -> list[int]:
-    """Check strict ascent and positivity; returns the values as a list."""
+    """Check strict ascent and positivity; returns the values as a list.
+    A 1-D int64 array is checked as a whole, and value by value only to
+    name its first bad entry."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+        if np.all(values[:1] >= 1) and np.all(values[1:] > values[:-1]):
+            return values.tolist()
+        values = values.tolist()
     out = []
     prev = 0
     for pos, v in enumerate(values, start=1):
@@ -55,9 +62,42 @@ def parse_sequence(text: str, source: str = "<input>") -> list[int]:
 
 
 def read_sequence(path: str) -> list[int]:
-    # non-ASCII bytes decode to U+FFFD, which parse_sequence rejects by line
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return parse_sequence(fh.read(), source=path)
+    """`parse_sequence` of the file, read as ASCII with universal newlines;
+    a file of lines of 1 to 18 digits is parsed as one array."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    values = _read_array(data)
+    if values is None:
+        # non-ASCII bytes decode to U+FFFD, which parse_sequence rejects by line
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="replace").read()
+        return parse_sequence(text, source=path)
+    try:
+        return validate_sequence(values)
+    except SequenceFormatError as exc:
+        raise SequenceFormatError(f"{path}: {exc}") from None
+
+
+# the longest line `_read_array` parses: 18 digits stay below 2^63
+_ARRAY_DIGITS = 18
+
+
+def _read_array(data: bytes) -> Optional[np.ndarray]:
+    """The int64 values of `data` when it holds only lines of 1 to
+    _ARRAY_DIGITS ASCII digits, each ended by "\n"; else None.  The digits
+    fold in one column at a time, from the longest line's first digit to
+    the last, a line's missing leading digits read as 0."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    lengths = np.diff(ends, prepend=-1) - 1
+    digits = raw - ord("0")  # a newline wraps past 9
+    if (not raw.size or raw[-1] != ord("\n") or lengths.min() < 1
+            or lengths.max() > _ARRAY_DIGITS or np.count_nonzero(digits > 9) != ends.size):
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    for back in range(int(lengths.max()), 0, -1):
+        values *= 10
+        values += np.where(lengths >= back, digits[np.maximum(ends - back, 0)], 0)
+    return values
 
 
 # values per block of text the array path formats and writes at once: the

@@ -15,9 +15,15 @@ Then r^2 divides x^2 + y^2 exactly when r divides both x and y:
   2^{2f} | x^2 + y^2 exactly when 2^f divides x and y.
 
 So a square pair (a_j, a_k) is a witness for i exactly when r divides
-both roots.  Array passes decide the lattice indices before the loop: each
-root r's multiples c r (c >= 2) are looked up in the sorted roots (or, when
-they outnumber the tail, the tail is reduced mod r); a pair with a
+both roots.  Array passes decide the lattice indices before the loop.  A
+square pair is found from the divisor side: the trial division that proves
+a root lattice also factors it, so each root's proper divisors are
+enumerated from its primes and exponents and looked up in the sorted
+roots, and a root found twice divides two others (6-7 lookups a root of S,
+whose roots share no divisor: see `check_union_property_p`).  Inputs whose
+roots it cannot all factor, and tiny ones, take the multiple side: each
+root r's multiples c r (c >= 2) are looked up in the sorted roots (or,
+when they outnumber the tail, the tail is reduced mod r).  A pair with a
 non-square a_t needs a_k = m a_i - a_t, k != t, for m a_i in [a_{i+1} +
 a_t, a_{n-1} + a_t], looked up in the sequence unless the m outnumber the
 tail, which leaves i undecided.  The loop visits the other live indices,
@@ -138,17 +144,21 @@ def _prime_factors(n: int):
 _LATTICE_TRIAL_BOUND = math.isqrt(math.isqrt(_NUMPY_VALUE_CEILING))
 
 
-def _lattice_roots(roots: np.ndarray) -> list[bool]:
-    """Does each ascending root provably have no prime factor = 1 mod 4?
-    Each prime p up to min(isqrt(max root), isqrt(2^31)) is divided out of
-    the roots in play; a root leaves play once its cofactor is below p^2
-    (then 1 or a prime).  A cofactor past bound^2 counts only if is_prime
-    proves it prime (below 3.3e24)."""
+def _lattice_roots(roots: np.ndarray, factors: bool = False):
+    """(does each ascending root provably have no prime factor = 1 mod 4;
+    with `factors`, each root's distinct primes P and their exponents E as
+    (n, w) rows, a prime 1 of exponent 0 padding a row, or None if a root
+    is not fully factored).  Each prime p up to min(isqrt(max root),
+    isqrt(2^31)) is divided out of the roots in play; a root leaves play
+    once its cofactor is below p^2 (then 1 or a prime).  A cofactor past
+    bound^2 counts as prime only if is_prime proves it (below 3.3e24)."""
     cof = roots.copy()
     at = np.arange(len(cof))  # positions of the roots still in play
     done = np.empty_like(cof)  # cofactors of the roots out of play
     proven = np.ones(len(cof), dtype=bool)
-    cof //= cof & -cof  # the odd part: a factor 2 never bars the lattice
+    two = cof & -cof
+    cof //= two  # the odd part: a factor 2 never bars the lattice
+    found = [(np.flatnonzero(two > 1), 2, two[two > 1])] if factors else []  # (roots, p, p^e)
     bound = min(math.isqrt(int(roots[-1])), _LATTICE_TRIAL_BOUND)
     for p in primes_upto(bound).tolist()[1:]:
         out = cof < p * p
@@ -160,15 +170,33 @@ def _lattice_roots(roots: np.ndarray) -> list[bool]:
         hit = np.flatnonzero(cof % p == 0)
         if p % 4 == 1:
             proven[at[hit]] = False
-        while hit.size:  # p^2 | r matters: divide p out to its full power
-            cof[hit] //= p
-            hit = hit[cof[hit] % p == 0]
+        power = cof[hit] if factors else None
+        divide = hit
+        while divide.size:  # p^2 | r matters: divide p out to its full power
+            cof[divide] //= p
+            divide = divide[cof[divide] % p == 0]
+        if factors and hit.size:
+            found.append((at[hit], p, power // cof[hit]))
     done[at] = cof
     proven &= (done == 1) | (done % 4 != 1)
-    for t in np.flatnonzero(proven & (done > bound * bound)).tolist():
-        c = int(done[t])
-        proven[t] = c < IS_PRIME_EXACT_BELOW and is_prime(c)
-    return proven.tolist()
+    # with factors, every cofactor past bound^2 must be a proven prime
+    big = [t for t in np.flatnonzero((proven | factors) & (done > bound * bound)).tolist()
+           if not (int(done[t]) < IS_PRIME_EXACT_BELOW and is_prime(int(done[t])))]
+    proven[big] = False
+    if not factors or big:
+        return proven, None
+    rest = np.flatnonzero(done > 1)
+    found.append((rest, done[rest], done[rest]))
+    own = np.concatenate([f[0] for f in found])
+    order = np.argsort(own, kind="stable")  # each root's primes stay ascending
+    own, p = own[order], np.concatenate([np.broadcast_to(f[1], len(f[0])) for f in found])[order]
+    e = np.rint(np.log(np.concatenate([f[2] for f in found])[order]) / np.log(p))
+    count = np.bincount(own, minlength=len(roots))
+    slot = np.arange(len(own)) - (np.cumsum(count) - count)[own]
+    P = np.ones((len(roots), int(count.max(initial=0))), np.int64)
+    E = np.zeros(P.shape, np.int8)
+    P[own, slot], E[own, slot] = p, e
+    return proven, (P, E)
 
 
 def _first_pair(res: np.ndarray, ai: int) -> Optional[tuple[int, int]]:
@@ -191,6 +219,45 @@ def _first_pair(res: np.ndarray, ai: int) -> Optional[tuple[int, int]]:
 # candidates looked up at once, bounding the scan's working arrays: `verify`
 # on S <= 10^14 peaked at 46.6 MB with 2^16 and 56.1 MB with 2^18 (45.5 before)
 _LOOKUP_BLOCK = 1 << 16
+# divisors enumerated and looked up at once for the union (`_layer_factors`)
+_DIVISOR_BLOCK = 1 << 12
+# The lattice takes the divisor side past this many multiples walked a root.
+# On a 2-vCPU VM, best of 25: S <= 10^12 (16 walked a root, 6.2 proper
+# divisors) was decided in 6.0 ms so against 7.8 ms walking, and the squares
+# of 4,000 class-3 primes (1.6 walked a root) in 4.6 against 3.3 ms.
+_WALKS_A_ROOT = 8
+
+
+def _proper_divisors(P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The proper divisors of each row's root, the product of P ** E over
+    the row, in no order: column by column, the divisors so far of a row
+    with p = P[., c] and e = E[., c] are joined by their multiples by p^a,
+    a = 1 .. e; then each row's root itself is dropped."""
+    d, own = np.ones(len(P), np.int64), np.arange(len(P))
+    for p, e in zip(P.T, E.T):
+        parts, owners = [d], [own]
+        for a in range(1, int(e.max(initial=0)) + 1):
+            keep = e[own] >= a
+            own = own[keep]
+            d = d[keep] * p[own]
+            parts.append(d)
+            owners.append(own)
+        d, own = np.concatenate(parts), np.concatenate(owners)
+    return d[d != np.prod(P ** E, axis=1)[own]]
+
+
+def _divided_twice(roots: np.ndarray, factor_rows) -> np.ndarray:
+    """The positions in the ascending int64 `roots` of those that divide two
+    other roots, from `factor_rows`, blocks (P, E) of `_proper_divisors`
+    rows that together factor every root once: each proper divisor of a
+    root is looked up in `roots`, so a root found twice divides two others."""
+    hits = [np.zeros(0, np.int64)]
+    for P, E in factor_rows:
+        d = np.sort(_proper_divisors(P, E))  # ascending keys search faster
+        at = np.minimum(np.searchsorted(roots, d), len(roots) - 1)
+        hits.append(at[roots[at] == d])
+    at, count = np.unique(np.concatenate(hits), return_counts=True)
+    return at[count >= 2]
 
 
 def _count_hits(counts: np.ndarray, candidate, table: np.ndarray) -> np.ndarray:
@@ -247,11 +314,14 @@ def _non_square_pairs(a_np: np.ndarray, at: np.ndarray, ns_np: np.ndarray,
 
 
 def _plan(a_np: np.ndarray, roots_np: np.ndarray, square: np.ndarray,
-          ns_upto: np.ndarray, force: bool) -> tuple[np.ndarray, np.ndarray]:
+          ns_upto: np.ndarray, force: bool):
     """Masks over the outer indices i < n - 2: `live` where a multiple of
     a_i lies in [a_{i+1} + a_{i+2}, a_{n-2} + a_{n-1}], `lattice` where the
-    lattice decides i.  Without `force` a plan past _RESIDUE_BUDGET tail
-    residues, _BIG_RESIDUE_WEIGHT each in an object array, raises ResourceError."""
+    lattice decides i; and (first, P, E), the factor rows of the roots
+    from the first lattice candidate's on, when trial division completes
+    them and the input is past the direct reduction.  Without `force` a
+    plan past _RESIDUE_BUDGET tail residues, _BIG_RESIDUE_WEIGHT each in an
+    object array, raises ResourceError."""
     head = a_np[:-2]
     live = (a_np[-2] + a_np[-1]) // head > (a_np[1:-1] + a_np[2:] - 1) // head
     tail = np.arange(len(a_np) - 1, 1, -1)  # n - 1 - i
@@ -267,10 +337,21 @@ def _plan(a_np: np.ndarray, roots_np: np.ndarray, square: np.ndarray,
                 f"{_RESIDUE_BUDGET}; pass force (CLI: --force) to scan anyway")
     refuse_past_budget()  # every candidate taken as lattice: a lower bound
     at = np.flatnonzero(lattice)
+    factors = None
     if at.size:  # a square at i has i - ns_upto[i] squares before it
-        lattice[at] = _lattice_roots(roots_np[at - ns_upto[at]])
+        t = at - ns_upto[at]
+        # the divisor side where int64 roots would walk many multiples each
+        if (roots_np.dtype == np.int64 and len(at) * len(roots_np) > _LOOKUP_BLOCK
+                and int(np.minimum(roots_np[-1] // roots_np[t], len(roots_np)).sum())
+                > _WALKS_A_ROOT * (len(roots_np) - int(t[0]))):
+            # every multiple of a candidate's root is among the roots from the first
+            proven, rows = _lattice_roots(roots_np[t[0]:], factors=True)
+            lattice[at] = proven[t - t[0]]
+            factors = None if rows is None else (int(t[0]), *rows)
+        else:
+            lattice[at] = _lattice_roots(roots_np[t])[0]
         refuse_past_budget()
-    return live, lattice
+    return live, lattice, factors
 
 
 def _scan(a: list[int], force: bool) -> Optional[tuple[int, int, int]]:
@@ -284,12 +365,18 @@ def _scan(a: list[int], force: bool) -> Optional[tuple[int, int, int]]:
     if roots_np.dtype == object and roots_np.size and roots_np[-1] < 1 << 63:
         roots_np = roots_np.astype(np.int64)
     ns_upto = np.cumsum(~square)  # non-squares at positions <= t
-    live, lattice = _plan(a_np, roots_np, square, ns_upto, force)
+    live, lattice, factors = _plan(a_np, roots_np, square, ns_upto, force)
     # the passes decide the lattice: a lattice index stays live where they
     # find a pair or leave it undecided
     at = np.flatnonzero(lattice)
     if at.size:
-        live[at] = _two_multiples(roots_np, at - ns_upto[at])
+        if factors is None:
+            live[at] = _two_multiples(roots_np, at - ns_upto[at])
+        else:
+            first, P, E = factors
+            step = max(1, _LOOKUP_BLOCK // int(np.prod(E + 1, axis=1, dtype=np.int64).max()))
+            rows = ((P[s:s + step], E[s:s + step]) for s in range(0, len(P), step))
+            live[at] = np.isin(at - ns_upto[at] - first, _divided_twice(roots_np[first:], rows))
         more = at[~live[at] & (ns_upto[at] < ns_upto[-1])] if ns_upto[-1] > ns_upto[at[0]] else []
         if len(more):  # lattice indices with a non-square after them
             live[more] = _non_square_pairs(a_np, more, np.flatnonzero(~square), ns_upto)
@@ -335,23 +422,53 @@ def check_lemma1(n1: int, n2: int, n3: int) -> Lemma1Result:
     return Lemma1Result(NOT_APPLICABLE, None)
 
 
-# check_union_property_p's peak RSS over the interpreter's a root: 70 bytes at
-# 10^16, 61 at 10^18, 60 at 10^19; rounded up for the sqrt(limit) prime store
-_UNION_ROOT_BYTES = 80
+# check_union_property_p holds S's ascending roots and their factor rows, 8
+# bytes a root and 4 a prime of nu, and working arrays of a few thousand
+# rows or divisors: traced, 10^14 peaked at 1.01 MB, 8 N + 4 F + 283 KB for
+# its N roots and F primes of nu (the prime store filled before), and 10^16
+# at 7.10 MB, 8 N + 4 F + 764 KB.  8 more bytes a root cover them from 10^14.
+_UNION_ROOT_BYTES, _UNION_FACTOR_BYTES = 16, 4
+
+
+def _layer_factors(layers):
+    """`_proper_divisors` rows (P, E) for the layers (q, rows) of S, a root
+    q^2 times its row's product (q of exponent 0 when q = 1), at most
+    _DIVISOR_BLOCK divisors at a time."""
+    for q, rows in layers:
+        step = max(1, _DIVISOR_BLOCK >> (rows.shape[1] + 2))  # < 4 * 2^i divisors a row
+        for s in range(0, len(rows), step):
+            part = rows[s:s + step]
+            has_q = part == q
+            yield (np.column_stack([np.full(len(part), q), part]),
+                   np.column_stack([2 * (q > 1) + has_q.any(axis=1), ~has_q]))
 
 
 def check_union_property_p(limit: int, *, exclude_qi: bool = False) -> Verdict:
-    """Property P on the constructed union up to `limit`.  Every root of S
-    has only prime factors = 3 mod 4, so the square-pair pass on the roots
-    decides every outer index.  `s_roots` counts S first and raises
-    ResourceError past the memory budget at _UNION_ROOT_BYTES a root."""
-    roots = s_roots(limit, exclude_qi, _UNION_ROOT_BYTES)
+    """Property P on the constructed union up to `limit`, decided from the
+    divisor side.  The lemma above decides a root's outer index by its
+    multiples among the roots, so `_divided_twice` enumerates the proper
+    divisors of every root from S's factor rows and looks them up; a root
+    found twice is a witness.  A root with a prime factor = 1 mod 4 (none
+    in S) takes the residue scan instead.  The roots of S form a
+    divisibility antichain: a root q_i^2 nu has q_i as its only prime of
+    exponent >= 2, so a root q_j^2 mu dividing it has j = i, then mu | nu,
+    and both have i primes.  So on S itself the pass finds no divisor and
+    answers "holds"; only planted roots reach its witness path.
+    `s_roots` counts S first and raises ResourceError past the memory
+    budget at _UNION_ROOT_BYTES a root and _UNION_FACTOR_BYTES a factor."""
+    roots, layers = s_roots(limit, exclude_qi, _UNION_ROOT_BYTES, _UNION_FACTOR_BYTES)
     n = len(roots)
-    hit = np.flatnonzero(_two_multiples(roots, np.arange(n - 2))) if n > 2 else []
+    twice = _divided_twice(roots, _layer_factors(layers)) if n > 2 else np.zeros(0, np.int64)
+    odd = [q * q * np.prod(rows[m], axis=1, dtype=np.int64) for q, rows in layers
+           if (m := (np.remainder(rows, 4, dtype=np.uint8) == 1).any(axis=1)
+               | (q % 4 == 1)).any()]  # a byte a prime, not four
     at = None
-    if len(hit):
-        i = int(hit[0])
+    odd = np.searchsorted(roots, np.concatenate([np.zeros(0, np.int64)] + odd))
+    for i in np.union1d(twice, odd).tolist():
         ai = int(roots[i]) ** 2
         tail = roots[i + 1:] if int(roots[-1]) ** 2 < 1 << 63 else roots[i + 1:].astype(object)
-        at = (i, *(i + 1 + t for t in _first_pair(tail * tail % ai, ai)))
+        pair = _first_pair(tail * tail % ai, ai) if len(tail) > 1 else None
+        if pair is not None:
+            at = (i, *(i + 1 + t for t in pair))
+            break
     return _verdict(n, at, lambda t: int(roots[t]) ** 2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from propp import constants, primes, seqfile, verify
+from propp import cli, constants, primes, seqfile, verify
 from propp.cli import build_parser, main
 from propp.construct import enumerate_s
 
@@ -546,3 +546,27 @@ def test_exit_contract_fuzz(command, capsys, tmp_path_factory):
         assert code in (0, 1, 2), argv
 
     run_one()
+
+
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["verify", "--help"], ["nosuch"], ["pik", "--x", "1"],
+    ["verify", "--input", "x", "extra"], ["count-s", "--limit", "abc"], ["-h", "verify"]]
+    + [[name, "--help"] for name in ("sieve", "construct", "baseline", "lemma1", "pik", "compare",
+                                     "count-s", "constants", "bounds", "envelope", "theorem-terms")])
+def test_one_subparser_writes_what_the_full_parser_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    full = build_parser
+    monkeypatch.setattr("propp.cli.build_parser", lambda *a: built.append(a) or full(*a))
+    got = _exit(capsys, main, argv)
+    assert got == _exit(capsys, lambda a: full().parse_args(a), argv)
+    assert got[0] == (0 if "--help" in argv or "-h" in argv else 2) and got[1] + got[2]
+    # a known command builds its own parser first; the full one only reports
+    assert built[0] == ((argv[0],) if argv[:1] and argv[0] in cli._COMMANDS else (None,))

@@ -19,6 +19,7 @@ from propp.construct import (
     s_roots,
 )
 from propp.counting import count_s, count_s_i
+from propp.primes import nth_q
 from propp.seqfile import parse_sequence, read_sequence, write_sequence
 
 from _naive import naive_layer, shape_layer_index, trial_division_class3
@@ -76,10 +77,16 @@ def test_layer_roots_below_the_least_element_are_empty():
 
 def test_s_roots_are_the_union_of_the_layers():
     for limit, exclude_qi in ((10 ** 12, False), (10 ** 14, True), (700, False)):
-        roots = s_roots(limit, exclude_qi)
+        roots, layers = s_roots(limit, exclude_qi)
         values = [e.value for e in enumerate_s(limit, exclude_qi)]
         assert [r * r for r in roots.tolist()] == values
-        assert len(roots) == sum(count_s(limit, exclude_qi)[1].values())
+        counts = count_s(limit, exclude_qi)[1]
+        assert len(roots) == sum(counts.values()) and len(layers) == len(counts)
+        for i, (q, rows) in enumerate(layers, start=1):  # each layer's rows, in any order
+            layer, layer_rows = layer_roots(i, limit, exclude_qi)
+            assert q == nth_q(i) and rows.dtype == np.uint32
+            assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, layer_rows.tolist()))
+            assert sorted((q * q * rows.astype(np.int64).prod(axis=1)).tolist()) == layer.tolist()
 
 
 def test_enumerate_s_small():
@@ -331,3 +338,47 @@ def test_sequence_file_format_errors():
     with pytest.raises(SequenceFormatError):
         parse_sequence(" 3\n")
     assert parse_sequence("") == []
+
+
+def _read_by_line(path):
+    """read_sequence's per-line path: the values, or the error message."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        text = fh.read()
+    try:
+        return parse_sequence(text, source=str(path))
+    except SequenceFormatError as exc:
+        return str(exc)
+
+
+def test_array_reader_matches_the_line_parser(tmp_path, monkeypatch):
+    # arrays, of which a zero, a repeat and a descent fail the array check
+    arrays = [b"1\n", b"7\n12\n", b"0007\n8\n", b"".join(b"%d\n" % v for v in range(1, 3000, 7)),
+              b"%d\n%d\n" % (10 ** 17, 10 ** 18 - 1), b"5\n" + b"9" * 18 + b"\n",
+              b"3\n" + b"0" * 17 + b"4\n", b"0\n5\n", b"5\n3\n", b"5\n5\n",
+              b"5\n" + b"0" * 17 + b"4\n"]
+    per_line = [b"", b"3\r\n5\r\n", b"3\r5\r", b"3\n\n5\n", b"\n", b"3\n\xc3\xa9\n",
+                b"3\n" + b"1" * 19 + b"\n", b"%d\n%d\n" % (10 ** 17 + 3, 10 ** 19),
+                b"3\n5", b"-2\n", b" 3\n", b"3 \n", b"+4\n", b"1\n" + b"9" * 5000 + b"\n"]
+    seen = []
+    read_array = seqfile._read_array
+    monkeypatch.setattr(seqfile, "_read_array", lambda data: seen.append(
+        read_array(data) is not None) or read_array(data))
+    for t, data in enumerate(arrays + per_line):
+        path = tmp_path / f"seq{t}.txt"
+        path.write_bytes(data)
+        try:
+            got = read_sequence(str(path))
+        except SequenceFormatError as exc:
+            got = str(exc)
+        assert got == _read_by_line(path), data
+    assert seen == [True] * len(arrays) + [False] * len(per_line)
+
+
+def test_validate_sequence_checks_an_int64_array_whole():
+    assert seqfile.validate_sequence(np.array([1, 5, 9], dtype=np.int64)) == [1, 5, 9]
+    for bad in ([0, 5], [5, 3], [4, 4], [1, 2, 7, 6]):
+        with pytest.raises(SequenceFormatError) as by_list:
+            seqfile.validate_sequence(bad)
+        with pytest.raises(SequenceFormatError) as by_array:
+            seqfile.validate_sequence(np.array(bad, dtype=np.int64))
+        assert str(by_array.value) == str(by_list.value)

@@ -122,8 +122,9 @@ def _levels(primes, bound, levels, factors, block):
     found, prev = [], [()]
     tuples = counting.prime_tuples(primes, bound, levels, factors, block)
     for n, (quot, last, owner) in enumerate(tuples):
+        quots = [None] * len(last) if quot is None else quot.tolist()
         level = [(prev[o] + (int(primes[a]),), q)
-                 for q, a, o in zip(quot.tolist(), last.tolist(), owner.tolist())]
+                 for q, a, o in zip(quots, last.tolist(), owner.tolist())]
         if n < levels:
             found.append(level)
         else:
@@ -157,7 +158,9 @@ def test_prime_tuples_match_combinations(primes, bounds):
             assert all(not expected[j] for j in range(len(found), levels))
             for j, level in enumerate(found, 1):
                 assert [t for t, _ in level if room(t)] == expected[j - 1]
-                assert all(q == bound // math.prod(t) for t, q in level)
+                # no level follows j = factors, so it has no quotients
+                assert all(q == (bound // math.prod(t) if j < factors else None)
+                           for t, q in level)
                 # the one tuple a prefix may take past its exact room: its last
                 # prime p is within 1 of the float root, and later levels drop it
                 need = factors - j + 1

@@ -9,7 +9,8 @@ import pytest
 
 from propp import DomainError, ResourceError, SequenceFormatError, verify
 from propp.cli import main as cli_main
-from propp.construct import enumerate_s
+from propp.construct import enumerate_s, enumerate_s_i, s_roots
+from propp.counting import count_s
 from propp.primes import IS_PRIME_EXACT_BELOW, class3_upto, is_prime, primes_upto
 from propp.verify import (
     APPLICABLE_VERIFIED,
@@ -521,12 +522,29 @@ def test_lookups_split_into_blocks(monkeypatch):
         assert max(walked) > 16
 
 
+def _factor_row(root):
+    """(q, [row]) with root = q^2 prod(row): q its prime of exponent 2 or 3,
+    or 1 for a squarefree root; the other primes appear once."""
+    f = factorize(root)
+    q = next((p for p, e in f.items() if e > 1), 1)
+    row = sorted(p for p, e in f.items() if p != q or e == 3)
+    assert q * q * math.prod(row) == root
+    return q, np.array([row], dtype=np.uint32)
+
+
+def _planted_s(limit, planted):
+    """S's roots and factor rows up to `limit` with the `planted` roots added."""
+    roots, layers = s_roots(limit)
+    new = sorted(set(planted) - set(roots.tolist()))
+    return (np.array(sorted(roots.tolist() + new), dtype=np.int64),
+            layers + [_factor_row(r) for r in new])
+
+
 def _union_verdict_matches_the_scan(limit, monkeypatch=None, planted=()):
-    values = [e.value for e in enumerate_s(limit)]
+    roots, layers = _planted_s(limit, planted)
     if planted:
-        roots = np.array(sorted({math.isqrt(v) for v in values} | set(planted)))
-        monkeypatch.setattr("propp.verify.s_roots", lambda *args: roots)
-        values = [int(r) ** 2 for r in roots]
+        monkeypatch.setattr("propp.verify.s_roots", lambda *args: (roots, layers))
+    values = [int(r) ** 2 for r in roots]
     verdict = check_union_property_p(limit)
     assert verdict == check_property_p(values, force=True)
     return verdict, values
@@ -553,13 +571,102 @@ def test_union_finds_a_planted_root(monkeypatch):
         assert values[verdict.witness_indices[0]] == planted[0] ** 2
 
 
+def test_union_scans_a_planted_root_with_a_1_mod_4_factor(monkeypatch):
+    # 55 = 5 * 11 divides neither 99 nor 132, yet 55^2 | 99^2 + 132^2 =
+    # 165^2: 3^2 + 4^2 = 5^2.  No root divides two others, so only the
+    # residue scan of the root with the factor 5 = 1 mod 4 finds it
+    divided = []
+    passes = verify._divided_twice
+    monkeypatch.setattr("propp.verify._divided_twice",
+                        lambda *a: divided.append(passes(*a)) or divided[-1])
+    verdict, values = _union_verdict_matches_the_scan(10 ** 12, monkeypatch, (55, 99, 132))
+    assert not verdict.holds and verdict.witness == (55 ** 2, 99 ** 2, 132 ** 2)
+    assert verdict.witness_indices == _generic_scan(values)
+    assert divided[0].size == 0  # the union's pass; the scan's come after
+
+
+def test_roots_of_s_form_a_divisibility_antichain():
+    roots = s_roots(10 ** 10)[0].tolist()
+    assert len(roots) > 500
+    assert not [(a, b) for t, a in enumerate(roots) for b in roots[t + 1:] if b % a == 0]
+
+
+def test_divisor_pass_matches_the_multiple_walk_on_s():
+    rng = random.Random(24)
+    for limit, plant in ((10 ** 16, 0), (10 ** 12, 40)):
+        base = s_roots(limit)[0].tolist()
+        # multiples of some roots: a root found twice is then a violation
+        planted = [r * c for r in rng.sample(base, plant)
+                   for c in [c for c in (2, 3, 7, 11, 19) if r % c][:2]]
+        roots, layers = _planted_s(limit, planted)
+        twice = verify._divided_twice(roots, verify._layer_factors(layers))
+        walk = verify._two_multiples(roots, np.arange(len(roots) - 2))
+        assert twice.tolist() == np.flatnonzero(walk).tolist()
+        assert (twice.size > 0) == (plant > 0)
+
+
+def _verify_files():
+    """The four shapes of the `verify` benchmark: S <= 10^12, 4,000 squares
+    of class-3 primes, those with a non-square planted in their middle, and
+    S_7 past 2^62."""
+    rng = random.Random(25)
+    s = s_roots(10 ** 12)[0]
+    pool = [int(p) for p in class3_upto(10 ** 6) if p >= 200_000]
+    squares = sorted(p * p for p in rng.sample(pool, 4000))
+    p2, r2 = squares[2000], next(v for v in squares[2001:] if v > 2 * squares[2000])
+    planted = sorted(squares + [p2 * (r2 // p2 + 2) - r2])
+    s7 = [e.value for e in enumerate_s_i(7, 60 * 10 ** 24)]
+    return [(s * s).tolist(), squares, planted, s7]
+
+
+def test_verify_files_decide_the_lattice_on_either_side(monkeypatch):
+    passes = []
+    divided = verify._divided_twice
+
+    def compare(roots, rows):
+        twice = divided(roots, rows)
+        walk = verify._two_multiples(roots, np.arange(len(roots) - 2))
+        assert twice.tolist() == np.flatnonzero(walk).tolist()
+        passes.append(len(roots))
+        return twice
+    monkeypatch.setattr("propp.verify._divided_twice", compare)
+    for values, holds in zip(_verify_files(), (True, True, False, True)):
+        verdict = check_property_p(values, force=True)
+        assert verdict.holds == holds
+        for walks in (0, 1 << 60):  # the divisor side wherever it can, then never
+            monkeypatch.setattr("propp.verify._WALKS_A_ROOT", walks)
+            assert check_property_p(values, force=True) == verdict
+        monkeypatch.undo()
+        monkeypatch.setattr("propp.verify._divided_twice", compare)
+    # by default only S, with 16 multiples walked a root, takes the divisor
+    # side; with no walk to beat, every file does (S_7's roots pass 2^31)
+    assert passes == [6620, 6620, 4000, 4000, 2599]
+
+
 def test_union_refuses_past_the_budget_before_enumerating(monkeypatch):
     def not_called(*args):
         raise AssertionError("a layer was enumerated past the budget")
     monkeypatch.setattr("propp.construct.layer_roots", not_called)
-    # S up to 10^21 has 115,202,802 roots
-    with pytest.raises(ResourceError, match="115202802"):
-        check_union_property_p(10 ** 21)
+    monkeypatch.setattr("propp.construct._layer_rows", not_called)
+    # S up to 10^22 has 347,580,002 roots and 464,899,424 primes of nu:
+    # 16 bytes a root and 4 a prime price them at 6.91 GiB
+    with pytest.raises(ResourceError, match="347580002"):
+        check_union_property_p(10 ** 22)
+
+
+def test_union_peak_stays_under_its_price():
+    limit = 10 ** 14
+    check_union_property_p(limit)  # the prime store, filled before tracing
+    layers = count_s(limit)[1]
+    price = sum(n * (verify._UNION_ROOT_BYTES + i * verify._UNION_FACTOR_BYTES)
+                for i, n in layers.items())
+    tracemalloc.start()
+    try:
+        check_union_property_p(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < price, (peak, price)
 
 
 def test_roots_past_the_trial_budget_fall_back():
@@ -574,12 +681,11 @@ def test_roots_past_the_trial_budget_fall_back():
         _assert_scan_matches(_squares(roots))
 
 
-def _proven_oracle(f, bound):
-    """No prime factor = 1 mod 4, and trial division up to `bound` leaves
-    1 or a single prime that Miller-Rabin proves (below 3.3e24)."""
+def _factored_oracle(f, bound):
+    """Trial division up to `bound` leaves 1 or a single prime that
+    Miller-Rabin proves (below 3.3e24)."""
     left = [p for p, e in f.items() for _ in range(e) if p > bound]
-    return (all(p % 4 != 1 for p in f) and len(left) <= 1
-            and all(p < IS_PRIME_EXACT_BELOW for p in left))
+    return len(left) <= 1 and all(p < IS_PRIME_EXACT_BELOW for p in left)
 
 
 def _assert_lattice_roots(factored):
@@ -587,7 +693,17 @@ def _assert_lattice_roots(factored):
     roots = [r for r, _ in rows]
     arr = np.array(roots, dtype=np.int64 if roots[-1] < 1 << 63 else object)
     bound = min(math.isqrt(roots[-1]), math.isqrt(1 << 31))
-    assert _lattice_roots(arr) == [_proven_oracle(f, bound) for _, f in rows], rows
+    proven, factors = _lattice_roots(arr, factors=arr.dtype == np.int64)
+    assert proven.tolist() == [all(p % 4 != 1 for p in f) and _factored_oracle(f, bound)
+                               for _, f in rows], rows
+    assert _lattice_roots(arr)[0].tolist() == proven.tolist()
+    if arr.dtype == np.int64:  # the rows, when every root is factored
+        complete = all(_factored_oracle(f, bound) for _, f in rows)
+        assert (factors is not None) == complete, rows
+        if complete:
+            P, E = factors
+            assert [{p: e for p, e in zip(P[t].tolist(), E[t].tolist()) if e}
+                    for t in range(len(rows))] == [f for _, f in rows]
 
 
 def test_lattice_roots_match_factorisations():
