@@ -332,28 +332,13 @@ def h_second_factor(x: float, plimit: int) -> float:
     return _h_family([x], plimit)[0][0]
 
 
-_FD_STEP = 1e-4
-
-
-def h_second(x: float, plimit: int, method: str = "analytic") -> float:
-    """h''(x), either term-by-term (analytic) or by central differences of
-    h with step 1e-4 and one Richardson refinement (numeric)."""
+def h_second(x: float, plimit: int) -> float:
+    """h''(x) = f(x) * euler_product(x), term by term from one class-3 pass;
+    the tests check it against central differences of h."""
     _check_h_domain(x)
     require_int("h'' truncation limit", plimit, 10 ** 4)
-    if method == "analytic":
-        [(f, product)] = _h_family([x], plimit)
-        return f * product
-    if method == "numeric":
-        if not _H_DOMAIN[0] + _FD_STEP <= x <= _H_DOMAIN[1] - _FD_STEP:
-            raise DomainError(f"numeric h'' needs an interior point, got {x}")
-        steps = (_FD_STEP, _FD_STEP / 2.0)
-        points = [x] + [x + d for step in steps for d in (step, -step)]
-        center, *sides = [e / math.gamma(t / 2.0 + 1.0)
-                          for t, (_, e) in zip(points, _h_family(points, plimit))]
-        coarse, fine = ((hi - 2.0 * center + lo) / (step * step)
-                        for step, hi, lo in zip(steps, sides[::2], sides[1::2]))
-        return (4.0 * fine - coarse) / 3.0
-    raise DomainError(f"method must be 'analytic' or 'numeric', got {method!r}")
+    [(f, product)] = _h_family([x], plimit)
+    return f * product
 
 
 def corollary_constant(arg: float, *,
@@ -364,7 +349,7 @@ def corollary_constant(arg: float, *,
     if not BOUND_WINDOW[0] <= arg <= BOUND_WINDOW[1]:
         raise DomainError(f"corollary constant evaluated on {BOUND_WINDOW}, got {arg}")
     return (1.0 + c34(c34_limit).value / 2.0
-            + h_second(arg, h_plimit, "analytic") / 2.0)
+            + h_second(arg, h_plimit) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +498,7 @@ def bounds_report(constant_plimit: int = DEFAULT_CONSTANT_PLIMIT,
         max(products) < PRODUCT_UPPER_BOUND)
     add("f_lower", min(fs), f">= {F_LOWER_BOUND}", min(fs) >= F_LOWER_BOUND)
 
-    h2 = f_third * product_third  # h_second(1/3, h_plimit, "analytic")
+    h2 = f_third * product_third  # h_second(1/3, h_plimit)
     add("h_second_lower", h2, f"> {H_SECOND_LOWER_BOUND}",
         h2 > H_SECOND_LOWER_BOUND)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .constants import window_params_from_logs
 from .counting import count_s, count_s_i, nu_bound, pi_k_exact, prime_tuples
 from .errors import checked_log, require_fits, require_int
-from .primes import class3_upto, nth_q
+from .primes import class3_upto, nth_q, store_growth_bytes
 
 # Materialised, an element of S costs ~800 bytes at most: `construct --all
 # --emit json` peaked at 403 MB for the 483,065 elements below 10^16 (~770
@@ -71,25 +71,20 @@ def enumerate_s_i(i: int, limit: int, exclude_qi: bool = False) -> list[SetEleme
 
 
 def s_i_roots(i: int, limit: int, exclude_qi: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """`layer_roots`, counted first at S_ELEMENT_BYTES an element."""
-    require_fits(f"S_{i} up to {limit}", count_s_i(i, limit, exclude_qi), S_ELEMENT_BYTES)
-    return layer_roots(i, limit, exclude_qi)
-
-
-def _elements(i: int, roots: np.ndarray, rows: np.ndarray) -> list[SetElement]:
-    return [SetElement(r * r, i, tuple(f)) for r, f in zip(roots.tolist(), rows.tolist())]
-
-
-def layer_roots(i: int, limit: int, exclude_qi: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(the roots q_i^2 nu of S_i up to `limit`, ascending: int64, or Python
-    ints once one could pass 2^63; the (n, i) rows of nu's primes), not
-    counted first."""
+    ints once one could pass 2^63; the (n, i) rows of nu's primes), counted
+    first at S_ELEMENT_BYTES an element."""
+    require_fits(f"S_{i} up to {limit}", count_s_i(i, limit, exclude_qi), S_ELEMENT_BYTES)
     rows = next(_layer_rows(i, limit, exclude_qi), np.zeros((0, i), np.uint32))
     q = nth_q(i)
     dtype = np.int64 if q * q * nu_bound(i, limit) < 1 << 63 else object
     roots = q * q * np.prod(rows, axis=1, dtype=dtype)
     order = np.argsort(roots, kind="stable")
     return roots[order], rows[order]
+
+
+def _elements(i: int, roots: np.ndarray, rows: np.ndarray) -> list[SetElement]:
+    return [SetElement(r * r, i, tuple(f)) for r, f in zip(roots.tolist(), rows.tolist())]
 
 
 def _layer_rows(i: int, limit: int, exclude_qi: bool, block: Optional[int] = None):
@@ -126,11 +121,13 @@ def s_roots(limit: int, exclude_qi: bool = False, root_bytes: int = S_ELEMENT_BY
     uint32 rows of nu's primes) for each layer i, so a root is q_i^2 times
     the product of a row).  Counted first, so past the memory budget at
     `root_bytes` a root and `factor_bytes` a prime of nu ResourceError
-    comes before any.  A root past 2^63 needs a limit past 2^126, where the
-    budget refuses S long before."""
+    comes before any; the price holds the prime store's growth to layer
+    1's sieve bound, the largest.  A root past 2^63 needs a limit past
+    2^126, where the budget refuses S long before."""
     counts = count_s(limit, exclude_qi)[1]
     total = sum(counts.values())
     price = sum(n * (root_bytes + i * factor_bytes) for i, n in counts.items())
+    price += store_growth_bytes(nu_bound(1, limit))
     require_fits(f"S up to {limit}", total, -(-price // max(total, 1)))
     roots, layers, end = np.empty(total, np.int64), [], 0
     for i, n in counts.items():

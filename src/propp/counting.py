@@ -384,8 +384,7 @@ def meng_estimate(x, k: int, mode: str = "main", *,
     correction = 1.0 + (k - 1) * c34_value / llx
     if k > 2:
         arg = 2.0 * (k - 3) / (3.0 * llx)
-        correction += (2.0 * (k - 1) * (k - 2) / llx ** 2) * constants.h_second(
-            arg, h_plimit, method="analytic")
+        correction += (2.0 * (k - 1) * (k - 2) / llx ** 2) * constants.h_second(arg, h_plimit)
     return main * correction
 
 

@@ -2,9 +2,10 @@
 
 q_i denotes the i-th prime p with p % 4 == 3 (3, 7, 11, 19, ...) and
 lambda(p) the {0,1} indicator of that class; p = 2 is classified as
-lambda(2) = 0.  The sieve is segmented (Bays and Hudson, BIT 17 (1977))
-and marks odd numbers only: each segment spans SEGMENT_SIZE consecutive
-integers, so its 1 MiB mask stays in a core's L2 cache.  The results feed a
+lambda(2) = 0.  One sieve, segmented (Bays and Hudson, BIT 17 (1977)),
+marks odd numbers only: each segment spans SEGMENT_SIZE consecutive
+integers, so its 1 MiB mask stays in a core's L2 cache, and its base
+primes come from the same routine on [3, sqrt(limit)].  The results feed a
 process-wide store that grows by at least doubling; a growth sieves only
 the range past the old limit, so repeated callers never re-sieve it, and
 writes each segment straight into arrays sized by the Rosser-Schoenfeld
@@ -34,16 +35,6 @@ MAX_SIEVE_LIMIT = 1 << 32
 _KEY_MAX = MAX_SIEVE_LIMIT - 1
 
 
-def _base_primes(n: int) -> np.ndarray:
-    """All primes <= n by a plain boolean sieve (n stays near sqrt(limit))."""
-    mask = np.ones(max(n + 1, 2), dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """The odd primes in [lo, hi], given the odd primes up to sqrt(hi) in
     `base`; mask entry j stands for the odd number first + 2j."""
@@ -63,9 +54,14 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return out
 
 
-def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE, start: int = 2):
+def _odd_primes(n: int) -> np.ndarray:
+    """The odd primes <= n: the segment [3, n], its base found the same way."""
+    return _sieve_segment(3, n, _odd_primes(math.isqrt(n))) if n >= 3 else np.empty(0, np.int64)
+
+
+def prime_segments(limit: int, start: int = 2):
     """Yield ascending arrays of the primes in [start, limit]: [2] first
-    when start <= 2, then the odd ones, one array per `segment_size`
+    when start <= 2, then the odd ones, one array per SEGMENT_SIZE
     consecutive integers from 3 (or from start, if later)."""
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
@@ -74,9 +70,9 @@ def prime_segments(limit: int, segment_size: int = SEGMENT_SIZE, start: int = 2)
             f"sieve limit {limit} exceeds the memory budget cap {MAX_SIEVE_LIMIT}")
     if start <= 2:
         yield np.array([2], dtype=np.int64)
-    base = _base_primes(math.isqrt(limit))[1:]
-    for lo in range(max(start, 3), limit + 1, segment_size):
-        yield _sieve_segment(lo, min(lo + segment_size - 1, limit), base)
+    base = _odd_primes(math.isqrt(limit))
+    for lo in range(max(start, 3), limit + 1, SEGMENT_SIZE):
+        yield _sieve_segment(lo, min(lo + SEGMENT_SIZE - 1, limit), base)
 
 
 _cache_lock = threading.Lock()
@@ -142,6 +138,12 @@ def sieved_limit() -> int:
     return _cached_limit
 
 
+def store_growth_bytes(limit: int) -> int:
+    """What covering `limit` adds to the store: 4 bytes a prime in each array."""
+    held = max(_cached_limit, 2)
+    return 8 * (_capacity(limit) - _capacity(held)) if limit > held else 0
+
+
 def class3_upto(limit: int) -> np.ndarray:
     """All primes p <= limit with p % 4 == 3, ascending, read-only."""
     primes_upto(limit)
@@ -202,7 +204,9 @@ def nth_q(i: int) -> int:
     if i < 8:
         bound = 64
     else:
-        # q_i grows like 2 i log i; overshoot so one sieve usually suffices
+        # q_i grows like 2 i log i.  The overshoot lets one sieve usually
+        # suffice, and puts the first bound of every i whose q_i passes the
+        # sieve cap past the cap, so class3_upto refuses it with no sieve
         bound = int(2.4 * i * (math.log(i) + math.log(math.log(i)) + 1.0)) + 16
     arr = class3_upto(bound)
     while len(arr) < i:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from propp.constants import h_eval
+
 
 def trial_division_primes(limit: int) -> list[int]:
     out = []
@@ -153,3 +155,14 @@ def classify_counts(x: int) -> dict[int, int]:
     ks = omega3[mask]
     counts = np.bincount(ks)
     return {k: int(c) for k, c in enumerate(counts) if k >= 1 and c}
+
+
+def h_second_by_differences(x: float, plimit: int) -> float:
+    """h''(x) by central differences of propp's h (the Euler product over
+    Gamma) at steps 1e-4 and 5e-5, with one Richardson refinement: the
+    oracle for the term-by-term h''.  x +- 1e-4 must lie in [0, 2]."""
+    center = h_eval(x, plimit)
+
+    def second(d):
+        return (h_eval(x + d, plimit) - 2.0 * center + h_eval(x - d, plimit)) / (d * d)
+    return (4.0 * second(5e-5) - second(1e-4)) / 3.0

@@ -36,7 +36,7 @@ from propp.construct import finite_block
 from propp.counting import landau_term, meng_estimate, pi_k_exact
 from propp.verify import APPLICABLE_VERIFIED
 
-from _naive import classify_counts
+from _naive import classify_counts, h_second_by_differences
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -171,8 +171,8 @@ def test_criterion_11_h_family():
     exact_one = h_eval(0.0, 10 ** 4) == 1.0
     products = [euler_product(x, 10 ** 6) for x in GRID_11]
     fs = [h_second_factor(x, 10 ** 6) for x in GRID_11]
-    h2 = h_second(1 / 3, 10 ** 6, "analytic")
-    gap = abs(h2 - h_second(1 / 3, 10 ** 6, "numeric"))
+    h2 = h_second(1 / 3, 10 ** 6)
+    gap = abs(h2 - h_second_by_differences(1 / 3, 10 ** 6))
     ok = (exact_one and max(products) < 0.9238 and min(fs) >= -0.5315
           and h2 > -0.492 and gap < 1e-3)
     report(11, ok,

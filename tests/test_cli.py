@@ -439,6 +439,9 @@ EXIT_CONTRACT = [
     (["construct", "--all", "--limit", "1e20"], 2, None),
     # 28,099,272 elements in the one layer, counted the same way
     (["construct", "--set-index", "1", "--limit", "1e20"], 2, None),
+    # q_i for i = 1e20 lies past the sieve cap: nth_q's first bound is past
+    # it too, so the index is refused with no sieve
+    (["construct", "--set-index", "1e20", "--limit", "1e20"], 2, None),
     # x/3 + 1 elements, past the budget long before 1e20
     (["baseline", "--kind", "block", "--x", "1e20"], 2, None),
     (["baseline", "--kind", "block", "--x", "1e30"], 2, None),

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _naive import trial_division_primes
+from _naive import h_second_by_differences, trial_division_primes
 from test_counting import _cold
 from propp import DomainError, constants, primes
 from propp.constants import (
@@ -291,8 +291,8 @@ def test_h_truncation_stability():
 
 def test_h_second_analytic_vs_numeric():
     for x in _grid(*BOUND_WINDOW, n=5):
-        ana = h_second(x, 10 ** 5, "analytic")
-        num = h_second(x, 10 ** 5, "numeric")
+        ana = h_second(x, 10 ** 5)
+        num = h_second_by_differences(x, 10 ** 5)
         assert abs(ana - num) < 1e-3, x
 
 
@@ -302,7 +302,7 @@ def test_h_second_factor_bound():
 
 
 def test_h_second_bound_at_one_third():
-    assert h_second(1 / 3, 10 ** 5, "analytic") > -0.492
+    assert h_second(1 / 3, 10 ** 5) > -0.492
 
 
 def test_h_family_guards():
@@ -311,11 +311,7 @@ def test_h_family_guards():
     with pytest.raises(DomainError):
         h_eval(2.5, 10 ** 4)
     with pytest.raises(DomainError):
-        h_second(0.5, 10 ** 3, "analytic")
-    with pytest.raises(DomainError):
-        h_second(0.5, 10 ** 4, "midpoint")
-    with pytest.raises(DomainError):
-        h_second(0.0, 10 ** 4, "numeric")  # needs an interior point
+        h_second(0.5, 10 ** 3)
 
 
 def test_corollary_constant():

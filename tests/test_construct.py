@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from propp import DomainError, ResourceError, SequenceFormatError, seqfile
+from propp import DomainError, ResourceError, SequenceFormatError, primes, seqfile
 from propp.construct import (
     baseline_squares,
     contribution_window,
@@ -13,9 +13,9 @@ from propp.construct import (
     enumerate_s,
     enumerate_s_i,
     finite_block,
-    layer_roots,
     max_set_index,
     min_element,
+    s_i_roots,
     s_roots,
 )
 from propp.counting import count_s, count_s_i
@@ -49,7 +49,7 @@ _CLASS3 = trial_division_class3(12000)
 @pytest.mark.parametrize("i, limit", [(1, 10 ** 10), (2, 10 ** 12), (3, 10 ** 14),
                                       (4, 10 ** 16), (4, 3 * 10 ** 12)])
 def test_layer_roots_match_a_recursive_walk(i, limit, exclude_qi):
-    roots, rows = layer_roots(i, limit, exclude_qi)
+    roots, rows = s_i_roots(i, limit, exclude_qi)
     expected = naive_layer(i, limit, _CLASS3, exclude_qi)
     assert roots.dtype == np.int64 and rows.shape == (len(expected), i)
     assert [(r * r, tuple(f)) for r, f in zip(roots.tolist(), rows.tolist())] == expected
@@ -61,7 +61,7 @@ def test_layer_roots_match_a_recursive_walk(i, limit, exclude_qi):
 def test_layer_roots_past_int64_are_python_ints(exclude_qi):
     # q_13^2 nu passes 2^63 from the layer's least element on
     limit = min_element(13, exclude_qi) * 100
-    roots, rows = layer_roots(13, limit, exclude_qi)
+    roots, rows = s_i_roots(13, limit, exclude_qi)
     expected = naive_layer(13, limit, _CLASS3, exclude_qi)
     assert roots.dtype == object and len(expected) > 20
     assert [(r * r, tuple(f)) for r, f in zip(roots.tolist(), rows.tolist())] == expected
@@ -70,9 +70,9 @@ def test_layer_roots_past_int64_are_python_ints(exclude_qi):
 
 def test_layer_roots_below_the_least_element_are_empty():
     for i in (1, 2, 5):
-        roots, rows = layer_roots(i, min_element(i) - 1)
+        roots, rows = s_i_roots(i, min_element(i) - 1)
         assert roots.shape == (0,) and rows.shape == (0, i)
-        assert len(layer_roots(i, min_element(i))[0]) == 1
+        assert len(s_i_roots(i, min_element(i))[0]) == 1
 
 
 def test_s_roots_are_the_union_of_the_layers():
@@ -83,10 +83,29 @@ def test_s_roots_are_the_union_of_the_layers():
         counts = count_s(limit, exclude_qi)[1]
         assert len(roots) == sum(counts.values()) and len(layers) == len(counts)
         for i, (q, rows) in enumerate(layers, start=1):  # each layer's rows, in any order
-            layer, layer_rows = layer_roots(i, limit, exclude_qi)
+            layer, layer_rows = s_i_roots(i, limit, exclude_qi)
             assert q == nth_q(i) and rows.dtype == np.uint32
             assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, layer_rows.tolist()))
             assert sorted((q * q * rows.astype(np.int64).prod(axis=1)).tolist()) == layer.tolist()
+
+
+def test_s_roots_price_the_store_growth(monkeypatch):
+    # S up to 10^14 fills the class-3 store to its first layer's sieve
+    # bound, 10^7 // 9: under a budget that holds its roots and rows but
+    # not half that growth, an emptied store refuses the limit before it
+    # sieves, and a store already filled that far admits it
+    limit, top = 10 ** 14, math.isqrt(10 ** 14 // 81)
+    counts = count_s(limit)[1]
+    held = sum(n * (16 + 4 * i) for i, n in counts.items())
+    for name in ("_cached_primes", "_cached_class3"):
+        monkeypatch.setattr(primes, name, getattr(primes, name)[:0])
+    monkeypatch.setattr(primes, "_cached_limit", 1)
+    monkeypatch.setattr("propp.errors.MEMORY_BUDGET", held + 4 * primes._capacity(top))
+    with pytest.raises(ResourceError, match=str(sum(counts.values()))):
+        s_roots(limit, False, 16, 4)
+    assert primes.sieved_limit() < top
+    primes.class3_upto(top)
+    assert len(s_roots(limit, False, 16, 4)[0]) == sum(counts.values())
 
 
 def test_enumerate_s_small():

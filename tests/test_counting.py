@@ -785,7 +785,7 @@ def test_meng_full_correction_at_k3():
     full = meng_estimate(10 ** 9, 3, "full", **kwargs)
     llx = math.log(math.log(10 ** 9))
     bracket = (1 + 2 * c34(10 ** 6).value / llx
-               + 4 / llx ** 2 * h_second(0.0, 10 ** 5, "analytic"))
+               + 4 / llx ** 2 * h_second(0.0, 10 ** 5))
     assert full / main == pytest.approx(bracket, rel=1e-13)
     assert full < main
 

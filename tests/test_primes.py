@@ -49,11 +49,18 @@ def test_sieve_prefix_property():
         assert big[: len(small)] == small
 
 
-def test_segment_size_does_not_change_output():
+def _segments(monkeypatch, limit, size):
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", size)
+    return np.concatenate(list(prime_segments(limit)))
+
+
+def test_segment_size_does_not_change_output(monkeypatch):
     for limit, size in ((10 ** 5, 997), (10 ** 6, 1 << 16)):
-        a = np.concatenate(list(prime_segments(limit, segment_size=1 << 22)))
-        b = np.concatenate(list(prime_segments(limit, segment_size=size)))
+        a = _segments(monkeypatch, limit, 1 << 22)
+        b = _segments(monkeypatch, limit, size)
         assert np.array_equal(a, b), limit
+    # the base primes come from the same segment routine, seeded recursively
+    assert primes._odd_primes(1 << 16).tolist() == trial_division_primes(1 << 16)[1:]
     # against trial division: every limit to 600, and p^2 - 1, p^2, p^2 + 1
     # for base primes p, where p first crosses off.  Segments of 1-3
     # integers cost ~10 us each, so past 600 they run only for p < 50
@@ -66,8 +73,9 @@ def test_segment_size_does_not_change_output():
         assert class3_upto(limit).tolist() == [p for p in expected if p % 4 == 3]
         for size in (1, 2, 3, 997, 1 << 16):
             if size > 3 or limit < 50 ** 2:
-                got = np.concatenate(list(prime_segments(limit, segment_size=size)))
+                got = _segments(monkeypatch, limit, size)
                 assert got.tolist() == expected, (limit, size)
+        monkeypatch.undo()  # the store may grow at the next limit
 
 
 def test_store_grows_by_sieving_only_the_new_range(monkeypatch):
@@ -122,7 +130,8 @@ def test_store_capacity_bounds_pi():
 def test_store_grows_across_many_segments(monkeypatch):
     # an emptied store grows 10^6 -> 10^7 -> 3e7, over many segments and
     # two reallocations; the arrays are trimmed, not views of a larger one
-    expected = np.concatenate(list(prime_segments(3 * 10 ** 7, segment_size=1 << 16)))
+    expected = _segments(monkeypatch, 3 * 10 ** 7, 1 << 16)
+    monkeypatch.undo()
     for name in ("_cached_primes", "_cached_class3"):
         monkeypatch.setattr(primes, name, getattr(primes, name)[:0])
     monkeypatch.setattr(primes, "_cached_limit", 1)

@@ -646,7 +646,6 @@ def test_verify_files_decide_the_lattice_on_either_side(monkeypatch):
 def test_union_refuses_past_the_budget_before_enumerating(monkeypatch):
     def not_called(*args):
         raise AssertionError("a layer was enumerated past the budget")
-    monkeypatch.setattr("propp.construct.layer_roots", not_called)
     monkeypatch.setattr("propp.construct._layer_rows", not_called)
     # S up to 10^22 has 347,580,002 roots and 464,899,424 primes of nu:
     # 16 bytes a root and 4 a prime price them at 6.91 GiB
